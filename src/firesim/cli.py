@@ -40,6 +40,7 @@ _SECTION_KEYS = {
 }
 _SUITES = ("prop1", "thresholds", "lemma1", "alpha_k", "growth",
            "permutation", "oracles", "continuous-moments")
+_LATTICE_SUITES = {"thresholds", "lemma1", "alpha_k", "growth", "permutation"}
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -58,7 +59,8 @@ def _build_profile(spec: dict) -> RateProfile:
             return RateProfile.explicit(tuple(spec["values"]),
                                         float(spec["c1"]), float(spec["c2"]))
         if kind == "periodic":
-            return RateProfile.periodic(tuple(spec["values"]))
+            return RateProfile.periodic(tuple(spec["values"]),
+                                        float(spec["c1"]), float(spec["c2"]))
         if kind == "iid-uniform":
             return RateProfile.iid_uniform(float(spec["c1"]), float(spec["c2"]),
                                            int(spec.get("seed", 0)))
@@ -248,6 +250,12 @@ def cmd_validate(cfg: dict, args) -> int:
     suite = section.get("suite")
     if suite not in _SUITES:
         raise ConfigError(f"validate.suite must be one of {', '.join(_SUITES)}")
+    if suite in _LATTICE_SUITES and model.space != "discrete":
+        raise ConfigError(f"suite {suite!r} needs the discrete model")
+    if suite == "continuous-moments" and (
+            model.intensity, model.connect_distance, model.ignite_distance) != (1.0, 1.0, 1.0):
+        raise ConfigError("suite 'continuous-moments' checks the unit model only: "
+                          "intensity, connect_distance and ignite_distance must be 1")
     seed, reps = args.seed, args.reps
     if suite == "prop1":
         report = experiments.validate_prop1(
@@ -307,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, default=None,
                         help="replications (overrides config)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--emit-plot-data", action="store_true")
     return parser

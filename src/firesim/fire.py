@@ -1,29 +1,31 @@
 """Event-driven fire process, blue renewal process and arrival-gap events.
 
-The arrival schedule is a functional of the noise field alone (fires never
-change when trees appear, only whether they stand), so a replication is
-simulated by materializing all arrivals in a (site window) x (time horizon)
-box once and replaying them.  Between two ignitions -- arrivals at the
-origin -- occupancy updates commute and are applied as one vectorized
-batch; each ignition burns the interval [0, reach] where reach follows the
-same vacant-run rule as the green process, which makes the fire/green
-coincidence at record times exact by construction.
+Fires never change when trees arrive, only whether they stand, and every
+ignition -- an arrival at the origin -- burns a prefix [0, reach].  So the
+whole lattice state is one number per site: its next arrival after its last
+burn.  A site is occupied at time t iff that number is <= t, and site 0's
+number is the next ignition.  The engine walks the ignitions in order,
+materialises sites only as far as the vacant-run scan reaches, and after a
+burn advances only the burnt, occupied sites.  The reach follows the same
+vacant-run rule as the green process, which makes the fire/green
+coincidence at record times exact.
 
-Reach values can be right-censored at the site window: a burn whose
-vacant-run scan exhausts the window is recorded with reach equal to the
-window size and flagged.  Everything the window covers stays exact, because
-burning [0, W] has the same effect on sites <= W regardless of how far the
-true reach extends.
+Reach values can be right-censored at a site window: a burn whose scan
+exhausts the window is recorded with reach equal to the window size and
+flagged.  Everything the window covers stays exact, because burning [0, W]
+has the same effect on sites <= W regardless of how far the true reach
+extends.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
-from .green import first_vacant_run, _chain_reach
+from .green import first_vacant_run
 from .model import CapExceeded, ModelConfig, NoiseField
 
 DEFAULT_TIME_CAP = 1e4
@@ -44,7 +46,6 @@ class FireTrace:
     events: list[BurnEvent] = field(default_factory=list)
     tau: dict = field(default_factory=dict)      # target -> first-burn time
     records: list[tuple[float, float]] = field(default_factory=list)  # (sigma_i, u_i)
-    horizon: float = 0.0
     complete: bool = True    # all requested targets were reached in time
     censored: bool = False   # any event reach was window-capped
 
@@ -73,96 +74,62 @@ class RenewalRecord:
         return self.censored_B or self.censored_F
 
 
-class _NeedMoreWindow(Exception):
-    pass
-
-
-class _NeedMoreTime(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # discrete engine
 # ---------------------------------------------------------------------------
 
-class DiscreteArrivals:
-    """All arrivals of sites [0, W) up to horizon T, merged in time order.
+class _Lattice:
+    """Lazy state of the lattice fire process started all-vacant at t0.
 
-    Values coincide with NoiseField.arrivals_before by construction (same
-    counter streams), so green-process quantities computed from the same
-    noise field are pathwise comparable.
+    The state of site x is its next arrival after its last burn (after t0
+    if never burnt), so x is occupied at t iff that arrival is <= t.  The
+    ignitions are site 0's arrivals, which the caller reads from the noise
+    field; site 0's own entry is never read.  Sites are materialised in
+    blocks only while the vacant-run scan needs more.
     """
 
-    CHUNK = 1 << 15
+    def __init__(self, noise: NoiseField, r: int, cap: int, t0: float):
+        self.noise, self.r, self.cap, self.t0 = noise, r, cap, t0
+        self.lam, self.unit, self.count, self.time = self._vacant(0, min(64, cap))
 
-    def __init__(self, noise: NoiseField, W: int, T: float):
-        self.W, self.T = W, T
-        profile = noise.config.profile
-        seed = noise.master_seed
-        times_parts, sites_parts = [], []
-        for lo in range(0, W, self.CHUNK):
-            hi = min(lo + self.CHUNK, W)
-            lam = profile.rates(lo, hi)
-            m = int(np.ceil(self.T * profile.c2 + 8 * np.sqrt(self.T * profile.c2 + 1) + 16))
-            streams = rng.site_stream(np.arange(lo, hi))
-            u = rng.counter_uniform(seed, streams[:, None], np.arange(m)[None, :])
-            unit = np.cumsum(-np.log(u), axis=1)
-            times = unit / lam[:, None]
-            # rows whose coverage stops short of T are extended individually
-            short = np.nonzero(times[:, -1] <= T)[0]
-            rows = [None] * len(short)
-            for k, row_idx in enumerate(short):
-                x = lo + int(row_idx)
-                extra_cols = m
-                row_unit = unit[row_idx]
-                while row_unit[-1] / lam[row_idx] <= T:
-                    more = rng.counter_exponential(
-                        seed, rng.site_stream(x), np.arange(extra_cols, extra_cols + m))
-                    row_unit = np.concatenate([row_unit, row_unit[-1] + np.cumsum(np.atleast_1d(more))])
-                    extra_cols += m
-                rows[k] = row_unit / lam[row_idx]
-            site_ids = np.broadcast_to(np.arange(lo, hi)[:, None], times.shape)
-            keep = times <= T
-            times_parts.append(times[keep])
-            sites_parts.append(site_ids[keep])
-            for k, row_idx in enumerate(short):
-                extra = rows[k][m:]
-                extra = extra[extra <= T]
-                times_parts.append(extra)
-                sites_parts.append(np.full(len(extra), lo + int(row_idx)))
-        times = np.concatenate(times_parts)
-        sites = np.concatenate(sites_parts)
-        order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.sites = sites[order].astype(np.int64)
-        self.ignitions = self.times[self.sites == 0]
+    def _vacant(self, lo: int, hi: int):
+        """(lam, unit, count, time) of sites [lo, hi), all vacant at t0."""
+        lam = self.noise.config.profile.rates(lo, hi)
+        return (lam, *self.noise.advance(np.arange(lo, hi), lam, 0.0, 0, self.t0))
 
-    def replay(self, t_start: float, t_end: float, r: int,
-               on_burn, occupied: np.ndarray | None = None) -> np.ndarray:
-        """Run the fire dynamics over ignitions in (t_start, t_end].
+    def _advance(self, xs: np.ndarray, t: float) -> None:
+        self.unit[xs], self.count[xs], self.time[xs] = self.noise.advance(
+            xs, self.lam[xs], self.unit[xs], self.count[xs], t)
 
-        `occupied` is the starting occupancy (all-vacant by default, which
-        is both the process start and the blue-process reset).  `on_burn`
-        receives (time, reach, censored) after each ignition and may return
-        True to stop.  Returns the final occupancy.
+    def burn(self, t: float) -> tuple[int, bool]:
+        """Burn at ignition time t; returns (reach, censored).
+
+        A scan that finds no vacant run among sites 1..cap-1 burns [0, cap)
+        and reports reach `cap`, censored.  Only the burnt, occupied sites
+        advance.
         """
-        W = self.W
-        occ = np.zeros(W, dtype=bool) if occupied is None else occupied
-        pos = int(np.searchsorted(self.times, t_start, side="right"))
-        ign = self.ignitions
-        for t in ign[(ign > t_start) & (ign <= t_end)]:
-            hi = int(np.searchsorted(self.times, t, side="right"))
-            occ[self.sites[pos:hi]] = True
-            pos = hi
-            j0 = first_vacant_run(~occ[1:], r)
-            if j0 < 0:
-                reach, censored = W, True
-            else:
-                reach, censored = j0 + r - 1, False
-            occ[0:min(reach, W - 1) + 1] = False
-            if on_burn(float(t), reach, censored):
+        cap = self.cap
+        m = min(64, cap)
+        while True:
+            j0 = first_vacant_run(self.time[1:m] > t, self.r)
+            if j0 >= 0 or m == cap:
                 break
-        return occ
+            m = min(2 * m, cap)
+            if m > len(self.time):
+                state = (self.lam, self.unit, self.count, self.time)
+                self.lam, self.unit, self.count, self.time = (
+                    np.concatenate(pair) for pair in zip(state, self._vacant(len(self.time), m)))
+        reach, censored = (cap, True) if j0 < 0 else (j0 + self.r - 1, False)
+        self._advance(1 + np.flatnonzero(self.time[1:min(reach, cap - 1) + 1] <= t), t)
+        return reach, censored
+
+    def restart(self, t: float) -> "_Lattice":
+        """A copy of this state, restarted all-vacant at time t."""
+        other = copy.copy(self)
+        other.t0 = t
+        other.unit, other.count, other.time = self.unit.copy(), self.count.copy(), self.time.copy()
+        other._advance(1 + np.flatnonzero(other.time[1:] <= t), t)
+        return other
 
 
 def _initial_window(targets, reach_window, site_cap) -> int:
@@ -175,66 +142,44 @@ def _initial_window(targets, reach_window, site_cap) -> int:
     return min(W, site_cap)
 
 
-def _initial_horizon(targets, config: ModelConfig, time_cap) -> float:
-    if not targets:
-        return time_cap          # no stopping rule: simulate the full span
-    n = max(targets)
-    guess = 1.6 * np.log(2 * n + 2) / (config.r * config.profile.c1) + 6.0
-    return min(guess, time_cap)
-
-
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
              time_cap: float = DEFAULT_TIME_CAP,
              reach_window: int | None = None,
              site_cap: int = DEFAULT_SITE_CAP) -> FireTrace:
     """Simulate the fire process until every target is burnt (or a cap hits).
 
-    With `reach_window` set, burn reaches are right-censored at that window
-    instead of growing it; targets must then lie inside the window.
+    With targets, the scan is capped at a window of about twice the largest
+    target, and a burn that passes it is recorded censored at the window.
+    With `reach_window` set, every burn reach is right-censored at that
+    window; targets must then lie inside the window.  Otherwise a burn
+    passing `site_cap` raises CapExceeded.
     """
     if config.space == "continuous":
         return _run_fire_continuous(noise, config, targets, time_cap=time_cap)
     targets = sorted(set(targets))
     if targets and targets[0] < 1:
         raise ValueError("targets must be >= 1")
-    r = config.r
-    W = _initial_window(targets, reach_window, site_cap)
-    T = _initial_horizon(targets, config, time_cap)
-    while True:
-        arr = DiscreteArrivals(noise, W, T)
-        trace = FireTrace(horizon=T)
-        unmet = list(targets)
-        u_max = 0.0
-        grow_window = False
-
-        def on_burn(t, reach, censored):
-            nonlocal u_max, grow_window
-            if censored and reach_window is None:
-                terminal = unmet and reach >= unmet[-1]
-                if not terminal:
-                    grow_window = True
-                    return True
-            trace.events.append(BurnEvent(t, reach, censored))
-            trace.censored = trace.censored or censored
-            if reach > u_max:
-                u_max = reach
-                trace.records.append((t, reach))
-            while unmet and unmet[0] <= reach:
-                trace.tau[unmet.pop(0)] = t
-            return targets and not unmet
-
-        arr.replay(0.0, T, r, on_burn)
-        if grow_window:
-            if 2 * W > site_cap:
-                raise CapExceeded(f"site window cap {site_cap} exceeded")
-            W *= 2
-            continue
-        if targets and unmet:
-            if T < time_cap:
-                T = min(2 * T, time_cap)
-                continue
-            trace.complete = False
-        return trace
+    cap = (_initial_window(targets, reach_window, site_cap)
+           if targets or reach_window is not None else site_cap)
+    trace = FireTrace()
+    unmet = list(targets)
+    u_max = 0
+    lattice = _Lattice(noise, config.r, cap, 0.0)
+    for t in itertools.takewhile(lambda t: t <= time_cap, noise.arrivals_after(0, 0.0)):
+        reach, censored = lattice.burn(t)
+        if censored and reach_window is None and not (unmet and reach >= unmet[-1]):
+            raise CapExceeded(f"site window cap {site_cap} exceeded")
+        trace.events.append(BurnEvent(t, reach, censored))
+        trace.censored = trace.censored or censored
+        if reach > u_max:
+            u_max = reach
+            trace.records.append((t, reach))
+        while unmet and unmet[0] <= reach:
+            trace.tau[unmet.pop(0)] = t
+        if targets and not unmet:
+            return trace
+    trace.complete = not unmet
+    return trace
 
 
 def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
@@ -243,56 +188,33 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
                         time_cap: float = DEFAULT_TIME_CAP) -> list[RenewalRecord]:
     """Fire/blue renewal experiment at threshold n_k.
 
-    Runs the fire process, detecting the consecutive times it reaches n_k;
-    for each hit the blue process -- reset to all-vacant at the previous
-    hit and evolved on the same noise -- is replayed over the cycle.
-    Returns one RenewalRecord per hit.
+    Runs the fire process, detecting the consecutive times it reaches n_k,
+    and alongside it the blue process: the fire process restarted
+    all-vacant at the previous hit, on the same noise.  Returns one
+    RenewalRecord per hit.
     """
     if config.space == "continuous":
         raise NotImplementedError("blue experiment is defined for the lattice model")
     if cycles < 1 or n_k < 1:
         raise ValueError("need cycles >= 1 and n_k >= 1")
-    r = config.r
     if reach_window is None:
         reach_window = 64 * n_k
-    W = _initial_window([n_k], reach_window, DEFAULT_SITE_CAP)
-    T = max(3.0 * cycles * np.log(2 * n_k + 2) / (r * config.profile.c1), 16.0)
-    while True:
-        T = min(T, time_cap)
-        arr = DiscreteArrivals(noise, W, T)
-        hits: list[tuple[float, float, bool]] = []   # (time, rho_F, censored)
-
-        def on_master(t, reach, censored):
-            if reach >= n_k:
-                hits.append((t, reach, censored))
-            return len(hits) >= cycles
-
-        arr.replay(0.0, T, r, on_master)
-        if len(hits) < cycles:
-            if T >= time_cap:
-                raise CapExceeded(
-                    f"only {len(hits)} of {cycles} cycles before time cap {time_cap}")
-            T = 2 * T
-            continue
-        records: list[RenewalRecord] = []
-        prev_t = 0.0
-        for i, (t_i, rho_F, cens_F) in enumerate(hits, start=1):
-            if i == 1:
-                rho_i, cens_B = rho_F, cens_F   # blue coincides with fire on cycle 1
-            else:
-                last: list[tuple[float, bool]] = []
-
-                def on_blue(t, reach, censored, _last=last):
-                    _last.append((reach, censored))
-                    return t >= t_i
-
-                arr.replay(prev_t, t_i, r, on_blue)
-                rho_i, cens_B = last[-1]
+    cap = _initial_window([n_k], reach_window, DEFAULT_SITE_CAP)
+    fire = _Lattice(noise, config.r, cap, 0.0)
+    blue = None   # blue coincides with fire on cycle 1
+    records: list[RenewalRecord] = []
+    prev_t = 0.0
+    for t in itertools.takewhile(lambda t: t <= time_cap, noise.arrivals_after(0, 0.0)):
+        rho_F, cens_F = fire.burn(t)
+        rho_B, cens_B = blue.burn(t) if blue else (rho_F, cens_F)
+        if rho_F >= n_k:
             records.append(RenewalRecord(
-                i=i, tau_i=t_i - prev_t, rho_i=rho_i, rho_F_i=rho_F,
+                i=len(records) + 1, tau_i=t - prev_t, rho_i=rho_B, rho_F_i=rho_F,
                 censored_B=cens_B, censored_F=cens_F))
-            prev_t = t_i
-        return records
+            if len(records) == cycles:
+                return records
+            prev_t, blue = t, fire.restart(t)
+    raise CapExceeded(f"only {len(records)} of {cycles} cycles before time cap {time_cap}")
 
 
 def detect_gap_event(noise: NoiseField, config: ModelConfig, span, start: float,
@@ -335,15 +257,14 @@ def _run_fire_continuous(noise: NoiseField, config: ModelConfig, targets, *,
     if targets and targets[0] <= 0:
         raise ValueError("targets must be > 0")
     connect, ignite = config.connect_distance, config.ignite_distance
-    T = _initial_horizon(None, config, time_cap) if not targets else min(
-        2.0 * np.log(max(targets) + 2) + 8.0, time_cap)
+    T = min(2.0 * np.log(max(targets) + 2) + 8.0, time_cap) if targets else time_cap
     L = 64.0 if not targets else max(64.0, 2.0 * max(targets))
     while True:
         if L > length_cap:
             raise CapExceeded(f"spatial window cap {length_cap} exceeded")
         pts = noise.points_in(0.0, L, 0.0, T)
         order = np.argsort(pts[:, 1], kind="stable")
-        trace = FireTrace(horizon=T)
+        trace = FireTrace()
         unmet = list(targets)
         u_max = 0.0
         alive: list[float] = []

@@ -75,7 +75,7 @@ def simulate_N_green(noise: NoiseField, config: ModelConfig, t: float,
     lo, size = 1, 256
     carry = np.empty(0, dtype=bool)
     while lo + size <= site_cap + 256:
-        vac = noise.first_arrivals(lo, lo + size) > t
+        vac = noise.next_arrivals_after(lo, lo + size, 0.0) > t
         v = np.concatenate([carry, vac])
         j0 = first_vacant_run(v, r)
         if j0 >= 0:
@@ -100,7 +100,7 @@ def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
     r = config.r
     if x <= r - 1:
         return 0.0
-    first = noise.first_arrivals(1, x + 1)
+    first = noise.next_arrivals_after(1, x + 1, 0.0)
     if r == 1:
         return float(first.max())
     win = np.lib.stride_tricks.sliding_window_view(first, r)

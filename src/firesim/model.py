@@ -7,6 +7,7 @@ pathwise coupling experiments possible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -133,13 +134,18 @@ def _cell_poisson_count(seed: int, stream, mean: float) -> int:
     return k
 
 
+_BLOCK = 1 << 18   # most exponentials NoiseField.advance draws at once
+
+
 class NoiseField:
     """Reproducible Poisson randomness shared by every coupled process.
 
-    Discrete: per-site ordered arrival times, lazily extendable in both the
-    site index and the time horizon.  Site x's arrivals are the partial sums
-    of unit-rate exponentials divided by lambda_x, drawn from the counter
-    stream of (master_seed, x).  Consequently scaling every rate by c > 0
+    Discrete: site x's arrivals are the partial sums of unit-rate
+    exponentials divided by lambda_x, exponential k being counter k of the
+    stream of (master_seed, x).  Nothing is stored: a reader keeps, per
+    site, the current partial sum and the count of exponentials in it, and
+    `advance` moves those states forward; `arrivals_after` reads one site's
+    stream in order.  Scaling every rate by c > 0
     divides every arrival time by c pathwise.
 
     Continuous: a unit-intensity space-time Poisson point set, generated per
@@ -150,90 +156,74 @@ class NoiseField:
     def __init__(self, master_seed: int, config: ModelConfig):
         self.master_seed = int(master_seed)
         self.config = config
-        self._unit_sums: dict[int, np.ndarray] = {}   # site -> cumsum of unit exps
         self._cells: dict[tuple[int, int], np.ndarray] = {}
 
     # ----- discrete -------------------------------------------------------
-    def _unit_arrivals(self, x: int, unit_horizon: float) -> np.ndarray:
-        """Unit-rate arrival times of site x's stream covering unit_horizon."""
-        cur = self._unit_sums.get(x)
-        have = 0 if cur is None else len(cur)
-        last = 0.0 if have == 0 else float(cur[-1])
-        while last <= unit_horizon:
-            chunk = max(16, int(unit_horizon - last) + 8)
-            gaps = rng.counter_exponential(
-                self.master_seed, rng.site_stream(x), np.arange(have, have + chunk))
-            new = last + np.cumsum(np.atleast_1d(gaps))
-            cur = new if cur is None else np.concatenate([cur, new])
-            have = len(cur)
-            last = float(cur[-1])
-        self._unit_sums[x] = cur
-        return cur
+    def _arrival_block(self, xs, lam, unit, count, width: int):
+        """Unit sums and times of the next `width` arrivals of each site.
+
+        Row i starts from site xs[i]'s state (unit[i], count[i]) -- the sum
+        of its first count[i] unit-rate exponentials -- and adds the
+        exponentials with counters count[i], count[i] + 1, ... in sequence,
+        so a site's arrival times are the same floats however its reads are
+        split into blocks.  This is the only code that forms arrival sums.
+        """
+        e = rng.counter_exponential(self.master_seed, rng.site_stream(xs)[:, None],
+                                    count[:, None] + np.arange(width))
+        sums = np.cumsum(np.column_stack([unit, e]), axis=1)[:, 1:]
+        return sums, sums / lam[:, None]
+
+    def advance(self, xs, lam, unit, count, t: float):
+        """Move each site xs[i] to its first arrival strictly after t.
+
+        (unit[i], count[i]) is the site's state: the sum of its first
+        count[i] unit-rate exponentials, i.e. its count[i]-th arrival in
+        unit time, and (0.0, 0) before its first arrival (scalars
+        broadcast); lam[i] is its rate.  Returns the new (unit, count,
+        time) arrays, where time = unit / lam > t.
+        """
+        xs = np.asarray(xs)
+        unit = np.broadcast_to(unit, xs.shape).astype(float)
+        count = np.broadcast_to(count, xs.shape).astype(np.int64)
+        time = unit / lam
+        todo = np.flatnonzero((count == 0) | (time <= t))
+        while len(todo):
+            # enough steps for most sites to pass t, within a bounded block
+            need = max(float(np.max(lam[todo] * (t - time[todo]))), 0.0)
+            width = max(1, min(int(need + 2 * np.sqrt(need)) + 1, _BLOCK // len(todo)))
+            sums, times = self._arrival_block(xs[todo], lam[todo], unit[todo],
+                                              count[todo], width)
+            past = times > t
+            k = np.where(past.any(axis=1), past.argmax(axis=1), width - 1)
+            rows = np.arange(len(todo))
+            unit[todo], time[todo] = sums[rows, k], times[rows, k]
+            count[todo] += k + 1
+            todo = todo[time[todo] <= t]
+        return unit, count, time
+
+    def arrivals_after(self, x: int, t: float):
+        """Arrival times of site x strictly after t, in order: an unbounded
+        iterator that reads the stream in blocks as it is consumed."""
+        lam = self.config.profile.rates(x, x + 1)
+        unit, count = np.zeros(1), np.zeros(1, dtype=np.int64)
+        while True:
+            sums, times = self._arrival_block(np.array([x]), lam, unit, count, 64)
+            yield from times[0][times[0] > t].tolist()
+            unit, count = sums[:, -1], count + 64
 
     def arrivals_before(self, x: int, t: float) -> np.ndarray:
         """All arrival times of site x in [0, t], strictly increasing."""
         if t < 0:
             raise ValueError("t must be >= 0")
-        lam = self.config.profile.rate_at(x)
-        unit = self._unit_arrivals(x, t * lam)
-        times = unit / lam
-        return times[times <= t]
-
-    def next_arrival_after(self, x: int, t: float) -> float:
-        """First arrival of site x strictly after t."""
-        lam = self.config.profile.rate_at(x)
-        unit = self._unit_arrivals(x, t * lam)
-        times = unit / lam
-        i = np.searchsorted(times, t, side="right")
-        while i >= len(times):
-            unit = self._unit_arrivals(x, float(unit[-1]) + 16.0)
-            times = unit / lam
-            i = np.searchsorted(times, t, side="right")
-        return float(times[i])
-
-    def first_arrivals(self, start: int, stop: int) -> np.ndarray:
-        """Vector of first arrival times for sites [start, stop).
-
-        Fast path equal by construction to arrivals_before(x, ...)[0].
-        """
-        xs = np.arange(start, stop)
-        lam = self.config.profile.rates(start, stop)
-        gaps = np.atleast_1d(rng.counter_exponential(self.master_seed, rng.site_stream(xs), 0))
-        return gaps / lam
+        return np.array(list(itertools.takewhile(lambda a: a <= t, self.arrivals_after(x, 0.0))))
 
     def next_arrivals_after(self, start: int, stop: int, t: float) -> np.ndarray:
         """First arrival strictly after t for each site in [start, stop).
 
-        Batch counterpart of next_arrival_after; identical values.  Sites
-        already materialized in the per-site cache are answered from it so
-        the two code paths never disagree.
+        With t = 0 these are the sites' first arrivals.
         """
-        n = stop - start
-        if n <= 0:
-            return np.empty(0)
         lam = self.config.profile.rates(start, stop)
-        out = np.empty(n)
-        todo = []
-        for k, x in enumerate(range(start, stop)):
-            if x in self._unit_sums:
-                out[k] = self.next_arrival_after(x, t)
-            else:
-                todo.append(k)
-        if todo:
-            todo = np.asarray(todo)
-            xs = start + todo
-            lam_t = lam[todo]
-            m = max(4, int(np.ceil(t * self.config.profile.c2 + 8 * np.sqrt(t * self.config.profile.c2 + 1) + 8)))
-            streams = rng.site_stream(xs)
-            gaps = rng.counter_uniform(self.master_seed, streams[:, None], np.arange(m)[None, :])
-            unit = np.cumsum(-np.log(gaps), axis=1)
-            times = unit / lam_t[:, None]
-            idx = np.argmax(times > t, axis=1)
-            found = times[np.arange(len(xs)), idx] > t
-            out[todo[found]] = times[np.arange(len(xs))[found], idx[found]]
-            for k in todo[~found]:
-                out[k] = self.next_arrival_after(start + int(k), t)
-        return out
+        return self.advance(np.arange(start, stop), lam, 0.0, 0, t)[2]
 
     # ----- continuous -----------------------------------------------------
     def _cell_points(self, i: int, j: int) -> np.ndarray:

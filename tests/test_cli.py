@@ -156,3 +156,35 @@ def test_config_hash_stability():
     h2 = cli.config_hash({"b": [1, 2], "a": 1})
     assert h1 == h2
     assert h1 != cli.config_hash({"a": 2, "b": [1, 2]})
+
+
+def test_periodic_profile_schedule(tmp_path):
+    periodic = {"kind": "periodic", "values": [0.5, 1.0], "c1": 0.5, "c2": 1.0}
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"profile": periodic},
+                                         "schedule": {"gamma": 1.5, "k_max": 3}})
+    assert cli.main(["schedule", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    no_c2 = {k: v for k, v in periodic.items() if k != "c2"}
+    cfg = write_cfg(tmp_path, "d.json", {"model": {"profile": no_c2}})
+    assert cli.main(["schedule", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("suite", ["thresholds", "lemma1", "alpha_k", "growth",
+                                   "permutation"])
+def test_lattice_suite_on_continuous_model_exit_2(tmp_path, capsys, suite):
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"space": "continuous"},
+                                         "validate": {"suite": suite,
+                                                      "permutation": [1, 0]}})
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert "discrete model" in capsys.readouterr().err
+
+
+def test_continuous_moments_rejects_non_unit_model(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"space": "continuous", "intensity": 2.0},
+                                         "validate": {"suite": "continuous-moments"}})
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert "intensity" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "d.json", {"model": {"space": "continuous"},
+                                         "validate": {"suite": "continuous-moments",
+                                                      "t_values": [1.0]}})
+    assert cli.main(["validate", "--config", cfg, "--reps", "200",
+                     "--out", str(tmp_path / "r.json")]) != 2

@@ -211,7 +211,7 @@ def test_gap_event_matches_manual_check():
     for seed in range(20):
         noise = NoiseField(replication_seed(81, seed), cfg)
         start, dur, span = 0.5, 1.0, 12
-        quiet = [noise.next_arrival_after(x, start) >= start + dur
+        quiet = [noise.next_arrivals_after(x, x + 1, start)[0] >= start + dur
                  for x in range(1, span + 1)]
         manual = any(quiet[i] and quiet[i + 1] for i in range(span - 1))
         assert fire.detect_gap_event(noise, cfg, span, start, dur) == manual

@@ -64,7 +64,7 @@ def test_simulate_matches_reach_rule_on_shared_noise():
     for seed in range(30):
         noise = NoiseField(replication_seed(3, seed), cfg)
         for t in (0.3, 1.0, 2.0):
-            occ = noise.first_arrivals(1, 4097) <= t
+            occ = noise.next_arrivals_after(1, 4097, 0.0) <= t
             assert green.simulate_N_green(noise, cfg, t) == \
                 green.reach_discrete(occ, 2)
 

@@ -103,32 +103,45 @@ def test_rate_scaling_duality():
 
 def test_next_arrival_after():
     noise, _ = make_noise()
-    t0 = noise.next_arrival_after(1, 0.0)
+    t0 = noise.next_arrivals_after(1, 2, 0.0)[0]
     arr = noise.arrivals_before(1, t0 + 1.0)
     assert t0 == arr[0]
-    t1 = noise.next_arrival_after(1, t0)
+    t1 = noise.next_arrivals_after(1, 2, t0)[0]
     assert t1 > t0
 
 
 def test_first_arrivals_vector_matches_scalar():
     noise, _ = make_noise(seed=2)
-    vec = noise.first_arrivals(1, 50)
-    scal = np.array([noise.next_arrival_after(x, 0.0) for x in range(1, 50)])
-    assert np.allclose(vec, scal)
+    vec = noise.next_arrivals_after(1, 50, 0.0)
+    for horizon in (10.0, 40.0):
+        scal = np.array([noise.arrivals_before(x, horizon)[0] for x in range(1, 50)])
+        assert np.array_equal(vec, scal), horizon
+
+
+def scalar_next_arrival(noise, x, t):
+    """First arrival after t, read from arrivals_before at growing horizons."""
+    horizon = t + 1.0
+    while True:
+        arr = noise.arrivals_before(x, horizon)
+        if len(arr) and arr[-1] > t:
+            return arr[arr > t][0]
+        horizon += 1.0
 
 
 def test_next_arrivals_after_vector_matches_scalar():
-    noise, _ = make_noise(seed=3)
-    t = 2.5
-    vec = noise.next_arrivals_after(1, 40, t)
-    scal = np.array([noise.next_arrival_after(x, t) for x in range(1, 40)])
-    assert np.allclose(vec, scal)
+    """Exact equality: both sides read the same sequential partial sums."""
+    for t in (2.5, 40.0):
+        for seed in range(20):
+            noise, _ = make_noise(seed=seed)
+            vec = noise.next_arrivals_after(1, 64, t)
+            scal = np.array([scalar_next_arrival(noise, x, t) for x in range(1, 64)])
+            assert np.array_equal(vec, scal), (t, seed)
 
 
 def test_exponential_first_arrival_distribution():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     noise = NoiseField(77, cfg)
-    firsts = noise.first_arrivals(1, 20_001)
+    firsts = noise.next_arrivals_after(1, 20_001, 0.0)
     assert abs(firsts.mean() - 1.0) < 3 / np.sqrt(len(firsts))
 
 

@@ -145,8 +145,8 @@ class NoiseField:
     stream of (master_seed, x).  Nothing is stored: a reader keeps, per
     site, the current partial sum and the count of exponentials in it, and
     `advance` moves those states forward; `arrivals_after` reads one site's
-    stream in order.  Scaling every rate by c > 0
-    divides every arrival time by c pathwise.
+    stream in order.  Scaling every rate by c > 0 divides every arrival
+    time by c pathwise.
 
     Continuous: a unit-intensity space-time Poisson point set, generated per
     unit cell from (master_seed, cell), so window growth never reshuffles

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from firesim import rng
 from firesim.model import ModelConfig, NoiseField, RateProfile
 
 
@@ -136,6 +137,21 @@ def test_next_arrivals_after_vector_matches_scalar():
             vec = noise.next_arrivals_after(1, 64, t)
             scal = np.array([scalar_next_arrival(noise, x, t) for x in range(1, 64)])
             assert np.array_equal(vec, scal), (t, seed)
+
+
+def test_arrivals_are_sequential_partial_sums():
+    """Readers return the plain loop s += e_k over a site's counter stream,
+    divided by its rate, however they split their reads into blocks."""
+    prof = RateProfile.periodic((0.7, 1.3), 0.7, 1.3)
+    noise = NoiseField(5, ModelConfig(space="discrete", r=1, profile=prof))
+    for x in (0, 1, 6):
+        s, ref = 0.0, []
+        for k in range(150):
+            s += rng.counter_exponential(5, rng.site_stream(x), k)
+            ref.append(s / prof.rate_at(x))
+        assert list(noise.arrivals_before(x, 80.0)) == [a for a in ref if a <= 80.0]
+        for t in (0.0, 3.0, 40.0):
+            assert noise.next_arrivals_after(x, x + 1, t)[0] == next(a for a in ref if a > t)
 
 
 def test_exponential_first_arrival_distribution():

@@ -191,3 +191,51 @@ def test_points_in_poisson_intensity():
               for s in range(200)]
     mean = np.mean(counts)
     assert abs(mean - 100.0) < 3 * np.sqrt(100.0 / 200)
+
+
+def reference_cell(seed, i, j, mean):
+    """Points of cell (i, j) drawn one scalar counter at a time: a Poisson
+    count by sequential inversion of counter 0, then point m at position
+    i + U(counter 1 + m) and time j + U(counter 1 + n + m)."""
+    stream = rng.cell_stream(i, j)
+    u = rng.counter_uniform(seed, stream, 0)
+    p = np.exp(-mean)
+    acc = p
+    n = 0
+    while u > acc:
+        n += 1
+        p *= mean / n
+        acc += p
+        if n > 1000:
+            break
+    pts = np.empty((n, 2))
+    for m in range(n):
+        pts[m, 0] = i + rng.counter_uniform(seed, stream, 1 + m)
+        pts[m, 1] = j + rng.counter_uniform(seed, stream, 1 + n + m)
+    return pts
+
+
+def reference_points_in(seed, mean, a, b, s, t):
+    cells = [reference_cell(seed, i, j, mean)
+             for i in range(int(np.floor(a)), int(np.floor(b)) + 1)
+             for j in range(int(np.floor(s)), int(np.floor(t)) + 1)]
+    pts = np.concatenate([np.empty((0, 2)), *cells])
+    keep = (pts[:, 0] >= a) & (pts[:, 0] <= b) & (pts[:, 1] >= s) & (pts[:, 1] <= t)
+    pts = pts[keep]
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
+@pytest.mark.parametrize("intensity", [0.3, 1.0, 2.5, 7.0])
+def test_points_in_matches_per_cell_reference(intensity):
+    cfg = ModelConfig(space="continuous", r=1, intensity=intensity)
+    # the later rectangles overlap cells the earlier ones cached
+    rects = [(0.0, 5.0, 0.0, 3.0), (2.5, 9.25, 1.5, 4.0), (0.0, 12.0, 0.0, 6.0),
+             (3.0, 3.0, 0.0, 2.0), (7.75, 8.5, 5.5, 5.75), (0.0, 16.0, 2.0, 7.5)]
+    for seed in (0, 3, rng.replication_seed(17, 2)):
+        noise = NoiseField(seed, cfg)
+        for a, b, s, t in rects:
+            got = noise.points_in(a, b, s, t)
+            assert np.array_equal(got, reference_points_in(seed, intensity, a, b, s, t))
+        assert noise._cells
+        for (i, j), pts in noise._cells.items():
+            assert np.array_equal(pts, reference_cell(seed, i, j, intensity))

@@ -186,8 +186,7 @@ def cmd_run(cfg: dict, args) -> int:
         good = vals[~np.isnan(vals)]
         censored = int(np.isnan(vals).sum())
         any_censoring = any_censoring or censored > 0
-        rows.append((f"tau_{target}", float(good.mean()),
-                     float(good.std(ddof=1) / np.sqrt(len(good))),
+        rows.append((f"tau_{target}", *experiments._mean_and_stderr(good),
                      len(good), seed, censored))
     write_csv(args.out, _header(cfg, seed),
               ["quantity", "estimate", "stderr", "reps", "seed", "censored"], rows)

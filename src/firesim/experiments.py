@@ -57,6 +57,15 @@ def extract_weak_minima(y) -> MinimaDecomposition:
     return MinimaDecomposition(nu=len(s), s=tuple(s))
 
 
+def _mean_and_stderr(vals) -> tuple[float, float]:
+    """Sample mean and its standard error; NaN where there are too few
+    values (no mean without one, no standard error without two)."""
+    arr = np.asarray(vals, dtype=float)
+    mean = float(arr.mean()) if len(arr) else math.nan
+    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else math.nan
+    return mean, stderr
+
+
 def mc_estimate(quantity, reps: int, master_seed: int,
                 quantity_id: str = "") -> EstimatorResult:
     """Mean/stderr of `quantity(seed)` over independent replications.
@@ -73,10 +82,8 @@ def mc_estimate(quantity, reps: int, master_seed: int,
             vals.append(quantity(replication_seed(master_seed, i)))
         except CapExceeded:
             censored += 1
-    arr = np.asarray(vals, dtype=float)
-    mean = float(arr.mean()) if len(arr) else float("nan")
-    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else float("nan")
-    return EstimatorResult(mean=mean, stderr=stderr, reps=len(arr),
+    mean, stderr = _mean_and_stderr(vals)
+    return EstimatorResult(mean=mean, stderr=stderr, reps=len(vals),
                            master_seed=master_seed, quantity_id=quantity_id,
                            censored=censored)
 
@@ -317,10 +324,8 @@ def estimate_alpha_k(config: ModelConfig, gamma: float, k: int, reps: int,
         start = recs[0].tau_i                      # absolute time of hit 1
         duration = recs[1].tau_i + recs[2].tau_i
         hits.append(float(fire.detect_gap_event(noise, config, n_k1, start, duration)))
-    arr = np.asarray(hits)
-    mean = float(arr.mean()) if len(arr) else float("nan")
-    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else float("nan")
-    return EstimatorResult(mean=mean, stderr=stderr, reps=len(arr),
+    mean, stderr = _mean_and_stderr(hits)
+    return EstimatorResult(mean=mean, stderr=stderr, reps=len(hits),
                            master_seed=master_seed,
                            quantity_id=f"alpha_k(gamma={gamma},k={k})",
                            censored=censored)
@@ -416,19 +421,22 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
                 censored += 1
                 continue
             vals.append(trace.tau[x])
-        arr = np.asarray(vals)
+        mean, stderr = _mean_and_stderr(vals)
         rows.append({
             "x": x,
-            "mean_tau": float(arr.mean()),
-            "stderr": float(arr.std(ddof=1) / np.sqrt(len(arr))),
-            "reps": len(arr),
+            "mean_tau": mean,
+            "stderr": stderr,
+            "reps": len(vals),
             "censored": censored,
         })
-        if x > 1:
-            min_ratio = min(min_ratio, float(arr.min()) / math.log(x))
-    xs = np.array([row["x"] for row in rows], dtype=float)
-    means = np.array([row["mean_tau"] for row in rows])
-    kappa = float(np.polyfit(np.log(np.log(xs)), np.log(means), 1)[0])
+        if x > 1 and vals:
+            min_ratio = min(min_ratio, min(vals) / math.log(x))
+    # the fit uses the rows with data, i.e. a finite mean
+    fit = [(row["x"], row["mean_tau"]) for row in rows if not math.isnan(row["mean_tau"])]
+    kappa = math.nan
+    if len(fit) >= 2:
+        xs, means = np.array(fit, dtype=float).T
+        kappa = float(np.polyfit(np.log(np.log(xs)), np.log(means), 1)[0])
     return {
         "suite": "scaling",
         "rows": rows,

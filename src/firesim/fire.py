@@ -250,7 +250,12 @@ def detect_gap_event(noise: NoiseField, config: ModelConfig, span, start: float,
 def _run_fire_continuous(noise: NoiseField, config: ModelConfig, targets, *,
                          time_cap: float, length_cap: float = 1e7) -> FireTrace:
     """Event-driven continuous fire: trees arrive, clusters touching the
-    ignition zone burn instantly and are deleted."""
+    ignition zone burn instantly and are deleted.
+
+    A burn whose cluster may pass the spatial window L doubles L and starts
+    over, unless it covers every unmet target: then it is the last burn,
+    recorded censored with the reach of its chain inside the window.
+    """
     import bisect
 
     targets = sorted(set(float(x) for x in targets))
@@ -279,11 +284,13 @@ def _run_fire_continuous(noise: NoiseField, config: ModelConfig, targets, *,
             while k + 1 < len(alive) and alive[k + 1] - alive[k] <= connect:
                 k += 1
                 reach = alive[k]
-            if reach > L - connect:
-                grow_space = True   # cluster might extend past the window
+            censored = bool(reach > L - connect)   # may extend past the window
+            if censored and not (unmet and reach >= unmet[-1]):
+                grow_space = True
                 break
             del alive[:k + 1]
-            trace.events.append(BurnEvent(float(t), float(reach)))
+            trace.events.append(BurnEvent(float(t), float(reach), censored))
+            trace.censored = trace.censored or censored
             if reach > u_max:
                 u_max = reach
                 trace.records.append((float(t), float(reach)))

@@ -7,6 +7,7 @@ pathwise coupling experiments possible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -118,20 +119,23 @@ class ModelConfig:
                 raise ValueError("continuous parameters must be positive")
 
 
-# Poisson sampling by counter-based inversion; cell means are O(1) so the
-# sequential search terminates quickly.
-def _cell_poisson_count(seed: int, stream, mean: float) -> int:
-    u = rng.counter_uniform(seed, stream, 0)
+_POISSON_KMAX = 1001   # cell means are O(1): a larger count is never drawn
+
+
+@functools.lru_cache(maxsize=16)
+def _poisson_cdf(mean: float) -> np.ndarray:
+    """P(N <= k) for N ~ Poisson(mean), k = 0.._POISSON_KMAX, summed term by
+    term, so that inverting a uniform u against it gives the count that a
+    sequential search `while u > acc: k += 1; p *= mean / k; acc += p`
+    stops at."""
     p = np.exp(-mean)
-    acc = p
-    k = 0
-    while u > acc:
-        k += 1
+    acc = [p]
+    for k in range(1, _POISSON_KMAX + 1):
         p *= mean / k
-        acc += p
-        if k > 1000:   # mean is O(1); unreachable in practice
-            break
-    return k
+        acc.append(acc[-1] + p)
+    cdf = np.array(acc)
+    cdf.flags.writeable = False
+    return cdf
 
 
 _BLOCK = 1 << 18   # most exponentials NoiseField.advance draws at once
@@ -148,9 +152,10 @@ class NoiseField:
     stream in order.  Scaling every rate by c > 0 divides every arrival
     time by c pathwise.
 
-    Continuous: a unit-intensity space-time Poisson point set, generated per
-    unit cell from (master_seed, cell), so window growth never reshuffles
-    previously exposed points.
+    Continuous: a space-time Poisson point set of the configured intensity,
+    generated per unit cell from (master_seed, cell), so window growth
+    never reshuffles previously exposed points.  The cells a query needs
+    that are not cached yet are drawn together, in one block.
     """
 
     def __init__(self, master_seed: int, config: ModelConfig):
@@ -226,21 +231,28 @@ class NoiseField:
         return self.advance(np.arange(start, stop), lam, 0.0, 0, t)[2]
 
     # ----- continuous -----------------------------------------------------
-    def _cell_points(self, i: int, j: int) -> np.ndarray:
-        """(n, 2) array of (position, time) points of unit cell (i, j)."""
-        key = (i, j)
-        pts = self._cells.get(key)
-        if pts is None:
-            stream = rng.cell_stream(i, j)
-            n = _cell_poisson_count(self.master_seed, stream, self.config.intensity)
-            if n == 0:
-                pts = np.empty((0, 2))
-            else:
-                c = np.arange(1, 2 * n + 1)
-                u = np.atleast_1d(rng.counter_uniform(self.master_seed, stream, c))
-                pts = np.column_stack([i + u[:n], j + u[n:]])
-            self._cells[key] = pts
-        return pts
+    def _generate_cells(self, keys: list[tuple[int, int]]) -> None:
+        """Draw and cache the points of the unit cells `keys` in one pass.
+
+        Cell (i, j) has a Poisson(intensity) count n, the inversion of
+        counter 0 of its stream, and point m (0 <= m < n) at position
+        i + U(counter 1 + m) and time j + U(counter 1 + n + m).  Every draw
+        is a pure function of (seed, stream, counter), so a cell's points
+        do not depend on which other cells share its block.
+        """
+        ij = np.array(keys, dtype=np.int64)
+        stream = rng.cell_stream(ij[:, 0], ij[:, 1])
+        u = rng.counter_uniform(self.master_seed, stream, 0)
+        n = np.minimum(np.searchsorted(_poisson_cdf(self.config.intensity), u, "left"),
+                       _POISSON_KMAX)
+        cell = np.repeat(np.arange(len(keys)), n)
+        first = np.cumsum(n) - n
+        m = np.arange(len(cell)) - first[cell]
+        pos = rng.counter_uniform(self.master_seed, stream[cell], 1 + m)
+        time = rng.counter_uniform(self.master_seed, stream[cell], 1 + n[cell] + m)
+        pts = np.column_stack([ij[cell, 0] + pos, ij[cell, 1] + time])
+        bounds = [*first.tolist(), len(cell)]
+        self._cells.update(zip(keys, (pts[lo:hi] for lo, hi in zip(bounds, bounds[1:]))))
 
     def points_in(self, a: float, b: float, s: float, t: float) -> np.ndarray:
         """Points of the space-time Poisson process in [a,b] x [s,t].
@@ -253,15 +265,12 @@ class NoiseField:
             raise ValueError("need a <= b and s <= t")
         if a == b or s == t:
             return np.empty((0, 2))
-        blocks = []
-        for i in range(int(np.floor(a)), int(np.floor(b)) + 1):
-            for j in range(int(np.floor(s)), int(np.floor(t)) + 1):
-                pts = self._cell_points(i, j)
-                if len(pts):
-                    blocks.append(pts)
-        if not blocks:
-            return np.empty((0, 2))
-        pts = np.concatenate(blocks)
+        keys = list(itertools.product(range(int(np.floor(a)), int(np.floor(b)) + 1),
+                                      range(int(np.floor(s)), int(np.floor(t)) + 1)))
+        missing = [key for key in keys if key not in self._cells]
+        if missing:
+            self._generate_cells(missing)
+        pts = np.concatenate([self._cells[key] for key in keys])
         keep = (pts[:, 0] >= a) & (pts[:, 0] <= b) & (pts[:, 1] >= s) & (pts[:, 1] <= t)
         pts = pts[keep]
         return pts[np.lexsort((pts[:, 1], pts[:, 0]))]

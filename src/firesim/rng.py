@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _A = np.uint64(0x9E3779B97F4A7C15)   # golden-ratio increment
 _B = np.uint64(0xBF58476D1CE4E5B9)
 _C = np.uint64(0x94D049BB133111EB)
@@ -28,6 +27,17 @@ SALT_PROFILE = 0x300000000
 SALT_REP = 0x400000000
 
 
+def _u64(x) -> np.ndarray:
+    """x as a uint64 array of at least one dimension: array arithmetic wraps
+    modulo 2**64 without the overflow warning of numpy scalar arithmetic."""
+    return np.array(x, dtype=np.uint64, ndmin=1, copy=None)
+
+
+def _scalar(*inputs) -> bool:
+    """True when no input is an array: the result is then one value."""
+    return not any(np.ndim(x) for x in inputs)
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _B
     z = (z ^ (z >> np.uint64(27))) * _C
@@ -35,19 +45,12 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def counter_uniform(seed, stream, counter):
-    """Uniform(0,1) draw(s) for (seed, stream, counter); broadcasts."""
-    old = np.seterr(over="ignore")
-    try:
-        s = np.asarray(seed, dtype=np.uint64)
-        st = np.asarray(stream, dtype=np.uint64)
-        c = np.asarray(counter, dtype=np.uint64)
-        z = s * _A + st * _C + c * _D + _B
-        z = _mix(_mix(z))
-    finally:
-        np.seterr(**old)
+    """Uniform(0,1) draw(s) for (seed, stream, counter); broadcasts, and
+    returns a float when all three are scalars."""
+    z = _mix(_mix(_u64(seed) * _A + _u64(stream) * _C + _u64(counter) * _D + _B))
     # 53 significant bits, strictly inside (0, 1)
     u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) / 9007199254740992.0
-    return u if u.shape else float(u)
+    return float(u[0]) if _scalar(seed, stream, counter) else u
 
 
 def counter_exponential(seed, stream, counter):
@@ -55,45 +58,28 @@ def counter_exponential(seed, stream, counter):
     return -np.log(counter_uniform(seed, stream, counter))
 
 
-def site_stream(x) -> np.ndarray:
+def site_stream(x):
     """Stream id for lattice site x (discrete model)."""
-    old = np.seterr(over="ignore")
-    try:
-        return (np.asarray(x, dtype=np.uint64) + np.uint64(SALT_SITE)) * _A
-    finally:
-        np.seterr(**old)
+    z = (_u64(x) + np.uint64(SALT_SITE)) * _A
+    return z[0] if _scalar(x) else z
 
 
 def cell_stream(i, j):
     """Stream id for the unit space-time cell [i,i+1)x[j,j+1)."""
-    old = np.seterr(over="ignore")
-    try:
-        i = np.asarray(i, dtype=np.uint64)
-        j = np.asarray(j, dtype=np.uint64)
-        return (i * _B + j * _C + np.uint64(SALT_CELL)) * _A
-    finally:
-        np.seterr(**old)
+    z = (_u64(i) * _B + _u64(j) * _C + np.uint64(SALT_CELL)) * _A
+    return z[0] if _scalar(i, j) else z
 
 
 def profile_stream(x):
     """Stream id for sampling the rate of site x (iid-uniform profiles)."""
-    old = np.seterr(over="ignore")
-    try:
-        return (np.asarray(x, dtype=np.uint64) + np.uint64(SALT_PROFILE)) * _C
-    finally:
-        np.seterr(**old)
+    z = (_u64(x) + np.uint64(SALT_PROFILE)) * _C
+    return z[0] if _scalar(x) else z
 
 
 def replication_seed(master_seed: int, index: int) -> int:
     """Derived master seed for replication `index`; independent across indices."""
-    old = np.seterr(over="ignore")
-    try:
-        z = (np.uint64(master_seed) * _A
-             + np.uint64(index) * _C
-             + np.uint64(SALT_REP))
-        return int(_mix(_mix(z)))
-    finally:
-        np.seterr(**old)
+    z = _u64(master_seed) * _A + _u64(index) * _C + np.uint64(SALT_REP)
+    return int(_mix(_mix(z))[0])
 
 
 def rep_rng(master_seed: int, index: int) -> np.random.Generator:

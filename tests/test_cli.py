@@ -151,6 +151,18 @@ def test_console_entry_point(tmp_path):
     assert "n_k" in proc.stdout
 
 
+def test_run_all_censored_writes_nan(tmp_path):
+    # no replication burns site 8 by time 0.01
+    cfg = write_cfg(tmp_path, "c.json", {**BASE, "run": {"targets": [8], "time_cap": 0.01}})
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "firesim.cli",
+                           "run", "--config", cfg, "--reps", "3", "--workers", "1",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[1].split(",") == ["tau_8", "nan", "nan", "0", "7", "3"]
+
+
 def test_config_hash_stability():
     h1 = cli.config_hash({"a": 1, "b": [1, 2]})
     h2 = cli.config_hash({"b": [1, 2], "a": 1})

@@ -201,6 +201,23 @@ def test_scaling_study_small():
     assert rep["min_tau_over_log_x"] > 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scaling_study_fully_censored_row():
+    # by time 10 at least 45 of the first 10^6 sites are expected vacant, so no
+    # burn reaches 10^6
+    rep = experiments.scaling_study(CFG1, [4, 16, 10**6], 3, 5, time_cap=10.0)
+    last = rep["rows"][-1]
+    assert (last["reps"], last["censored"]) == (0, 3)
+    assert math.isnan(last["mean_tau"]) and math.isnan(last["stderr"])
+    assert all(row["reps"] == 3 for row in rep["rows"][:2])
+    # the fit skips the empty row; each row is seeded by its own x
+    two = experiments.scaling_study(CFG1, [4, 16], 3, 5, time_cap=10.0)
+    assert rep["kappa_hat"] == two["kappa_hat"] and math.isfinite(two["kappa_hat"])
+    assert rep["min_tau_over_log_x"] == two["min_tau_over_log_x"]
+    one = experiments.scaling_study(CFG1, [16, 10**6], 3, 5, time_cap=10.0)
+    assert math.isnan(one["kappa_hat"])
+
+
 def test_validate_permutation_identity_exact():
     rep = experiments.validate_permutation(CFG1.profile, 4, [1, 2, 3, 4], 50, 4)
     assert rep["mean_original"] == rep["mean_permuted"]

@@ -254,10 +254,13 @@ def test_continuous_targets_complete():
 
 
 def test_continuous_terminal_burn_pinned():
-    # its last burn chains past 11,000: tau must not depend on how far
+    # its last burn chains past 11,000; it covers the target inside the
+    # window, so it is recorded censored there instead of chased
     cfg = ModelConfig(space="continuous", r=1)
     noise = NoiseField(replication_seed(91, 8), cfg)
     trace = fire.run_fire(noise, cfg, targets=[5.0])
     assert trace.complete
     assert trace.tau[5.0] == 11.451956949627743
     assert trace.events[-1].time == trace.tau[5.0]
+    assert trace.events[-1].censored is True and trace.censored
+    assert not any(ev.censored for ev in trace.events[:-1])

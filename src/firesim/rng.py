@@ -30,7 +30,7 @@ SALT_REP = 0x400000000
 def _u64(x) -> np.ndarray:
     """x as a uint64 array of at least one dimension: array arithmetic wraps
     modulo 2**64 without the overflow warning of numpy scalar arithmetic."""
-    return np.array(x, dtype=np.uint64, ndmin=1, copy=None)
+    return np.atleast_1d(np.asarray(x, dtype=np.uint64))
 
 
 def _scalar(*inputs) -> bool:

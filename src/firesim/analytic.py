@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import RateProfile
 
@@ -82,12 +81,17 @@ def t_star(profile: RateProfile, r: int, n: int, alpha_target: float) -> float:
     def g(t):
         return float(np.sum(np.exp(-sums * t))) - alpha_target
 
+    from scipy.optimize import brentq   # on use: it dominates import time
     return float(brentq(g, 0.0, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
 
 
 def schedule(profile: RateProfile, r: int, gamma: float, k_max: int,
              n_cap: int = 4_000_000) -> list[ScheduleEntry]:
-    """Ladder entries (k, gamma^k, n_k, T_k) for k = 1..k_max."""
+    """Ladder entries (k, gamma^k, n_k, T_k) for k = 1..k_max.
+
+    Raises OverflowError when n_k passes `n_cap`; the error's `entries`
+    attribute holds the levels built before it.
+    """
     if not 1.0 < gamma < 2.0:
         raise ValueError("gamma must lie in (1, 2)")
     if k_max < 1:
@@ -100,8 +104,10 @@ def schedule(profile: RateProfile, r: int, gamma: float, k_max: int,
         while f_n(profile, r, n, t) < 0.5:
             n *= 2
             if n > n_cap:
-                raise OverflowError(
+                err = OverflowError(
                     f"n_k exceeds cap {n_cap} at level k={k}; lower k_max")
+                err.entries = entries       # the levels below k, for partial output
+                raise err
         terms = np.exp(-_window_rate_sums(profile, r, n) * t)
         partial = np.cumsum(terms)          # partial[i] = f_{r+i}(t)
         idx = int(np.searchsorted(partial, 0.5))
@@ -217,6 +223,7 @@ def char_root(alpha: float, r: int) -> float:
     def g(xi):
         return xi ** r - np.sum((1 - alpha) * alpha ** (r - 1 - ks) * xi ** ks)
 
+    from scipy.optimize import brentq
     return float(brentq(g, 1e-12, 1.0, xtol=1e-13, rtol=1e-15, maxiter=200))
 
 

@@ -92,25 +92,69 @@ def mc_estimate(quantity, reps: int, master_seed: int,
 # fast distributional samplers (law-exact, no shared noise field)
 # ---------------------------------------------------------------------------
 
+_BLOCK_CELLS = 1 << 20    # candidate sites held at once across a block of rows
+
+
+def _gap_block_width(n: int, p_max: float) -> int:
+    """Geometric gaps drawn per row and top-up: the mean candidate count
+    n * p_max plus six standard deviations, capped at n."""
+    mean = n * p_max
+    return min(n, math.ceil(mean + 6 * math.sqrt(mean)) + 4)
+
+
+def _candidate_sites(rng_: np.random.Generator, p_max: float, n: int,
+                     rows: int, width: int) -> np.ndarray:
+    """Sites of an independent Bernoulli(p_max) process on 1..n per row, in
+    increasing order along the row; entries past site n read n + 1.
+
+    A row whose last site is still short of n gets more gaps appended until
+    it passes n; rows are never truncated or redrawn, which would bias the
+    law.  Gaps are clipped at n + 1, which moves no site inside 1..n.
+    """
+    def sites(k, start):
+        gaps = np.minimum(rng_.geometric(p_max, size=(k, width)), n + 1)
+        return start + np.cumsum(gaps, axis=1)
+
+    pos = sites(rows, 0)
+    short = np.flatnonzero(pos[:, -1] < n)
+    while short.size:
+        more = np.full((rows, width), n + 1, dtype=pos.dtype)
+        more[short] = sites(short.size, pos[short, -1:])
+        pos = np.concatenate([pos, more], axis=1)
+        short = short[more[short, -1] < n]
+    return np.minimum(pos, n + 1)
+
+
 def sample_vacant_run_within(rng_: np.random.Generator, profile: RateProfile,
-                             r: int, t: float, n: int, reps: int,
-                             block: int = 256) -> np.ndarray:
+                             r: int, t: float, n: int, reps: int) -> np.ndarray:
     """Boolean draws of {some length-r vacant run lies inside sites 1..n}
-    at time t, vectorized over replications."""
+    at time t, vectorized over replications.
+
+    Sites are vacant independently with p_x = exp(-lambda_x t).  Only the
+    candidate vacancies are drawn: a Bernoulli(max p_x) process through
+    geometric gaps, each candidate kept with probability p_x / max p_x.
+    """
+    out = np.zeros(reps, dtype=bool)
     p_vac = np.exp(-profile.rates(1, n + 1) * t)
-    out = np.empty(reps, dtype=bool)
-    done = 0
-    while done < reps:
-        rows = min(block, reps - done)
-        vac = rng_.random((rows, n)) < p_vac
-        if r == 1:
-            hit = vac.any(axis=1)
-        else:
-            c = np.cumsum(vac, axis=1, dtype=np.int64)
-            c = np.concatenate([np.zeros((rows, 1), dtype=np.int64), c], axis=1)
-            hit = ((c[:, r:] - c[:, :-r]) == r).any(axis=1)
-        out[done:done + rows] = hit
-        done += rows
+    p_max = float(p_vac.max()) if n >= r else 0.0
+    if p_max == 0.0:        # no run fits, or every site is occupied
+        return out
+    p_keep = np.append(p_vac / p_max, 0.0)     # index n: past the last site
+    thin = bool(p_keep[:-1].min() < 1.0)
+    width = _gap_block_width(n, p_max)
+    block = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, reps, block):
+        pos = _candidate_sites(rng_, p_max, n, min(block, reps - lo), width)
+        vac = pos <= n
+        if thin:
+            vac &= rng_.random(pos.shape) < p_keep[pos - 1]
+        # in the end run[:, j]: candidates j..j+r-1 are vacant, consecutive sites
+        run = vac
+        if r > 1:
+            link = vac[:, :-1] & vac[:, 1:] & (np.diff(pos, axis=1) == 1)
+            for k in range(1, r):
+                run = run[:, :-1] & link[:, k - 1:]
+        out[lo:lo + len(pos)] = run.any(axis=1)
     return out
 
 
@@ -164,7 +208,11 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
 def validate_thresholds(config: ModelConfig, n: int, epsilon: float, reps: int,
                         master_seed: int) -> dict:
     """Tail probabilities of the green reach around the critical time, with
-    their analytic envelopes (exponent c = c1/(2 c2))."""
+    their analytic envelopes (exponent c = c1/(2 c2)).
+
+    Passes when both tails lie within their envelopes plus three standard
+    errors.  The envelopes are asymptotic in n, so a small n can miss them.
+    """
     profile, r = config.profile, config.r
     if profile.kind == "constant":
         T = analytic.homog_threshold(n, r)
@@ -183,6 +231,8 @@ def validate_thresholds(config: ModelConfig, n: int, epsilon: float, reps: int,
     se_above = float(above_lo.std(ddof=1) / np.sqrt(reps))
     env_below = n ** (-c * epsilon) if profile.kind != "constant" else n ** (-epsilon)
     env_above = float(np.exp(-n ** (c * epsilon)))
+    below_ok = bool(p_below <= env_below + 3 * se_below)
+    above_ok = bool(p_above <= max(env_above, 0.01) + 3 * se_above)
     return {
         "suite": "thresholds",
         "n": n,
@@ -192,12 +242,12 @@ def validate_thresholds(config: ModelConfig, n: int, epsilon: float, reps: int,
         "p_below_at_late": p_below,
         "stderr_below": se_below,
         "envelope_below": env_below,
-        "below_ok": bool(p_below <= env_below + 3 * se_below),
+        "below_ok": below_ok,
         "p_above_at_early": p_above,
         "stderr_above": se_above,
         "envelope_above": env_above,
-        "above_ok": bool(p_above <= max(env_above, 0.01) + 3 * se_above),
-        "pass": True,   # trend check: annotate, never hard-fail
+        "above_ok": above_ok,
+        "pass": below_ok and above_ok,
     }
 
 

@@ -26,6 +26,7 @@ from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
 
 DEFAULT_SITE_CAP = 1 << 24
 DEFAULT_TIME_CAP = 1e4
+_GAP_BUDGET = 8_000_000    # gaps drawn at once by sample_green_reach_cont
 
 
 def first_vacant_run(vacant: np.ndarray, r: int) -> int:
@@ -214,15 +215,15 @@ def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int,
     p_stop = np.exp(-t * connect)
     m = rng_.geometric(p_stop, size=size) - 1          # number of gaps <= connect
     out = np.empty(size, dtype=float)
-    # chunk replications so the flattened gap array stays modest
-    budget = 8_000_000
+    # chunk replications so the flattened gap array stays modest: each chunk
+    # takes the longest run of replications whose gaps fit the budget (at
+    # least one replication)
+    ends = np.cumsum(m)
     lo = 0
     while lo < size:
-        hi = lo + 1
-        total = int(m[lo])
-        while hi < size and total + m[hi] <= budget:
-            total += int(m[hi])
-            hi += 1
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _GAP_BUDGET, side="right")))
+        total = int(ends[hi - 1]) - base
         # truncated Exp(t) on (0, connect] via inverse cdf
         u = rng_.random(total)
         w = -np.log1p(-u * (1.0 - p_stop)) / t

@@ -86,6 +86,14 @@ def test_schedule_overflow():
         analytic.schedule(HOMOG, 1, 1.9, 25)
 
 
+def test_schedule_overflow_carries_built_levels():
+    with pytest.raises(OverflowError) as info:
+        analytic.schedule(HOMOG, 1, 1.9, 25)
+    built = info.value.entries
+    assert 0 < len(built) < 25
+    assert built == analytic.schedule(HOMOG, 1, 1.9, len(built))
+
+
 # ---------------------------------------------------------------------------
 # p_n oracles
 # ---------------------------------------------------------------------------

@@ -91,12 +91,27 @@ def test_schedule_output(tmp_path):
         assert float(r[3]) >= float(r[1]) - 1e-9     # T_k >= gamma^k
 
 
+SCHEDULE_OVERFLOW_CSV = """\
+# firesim 0.1.0
+# config_hash 5d5cbe85c740f6c7
+# master_seed 0
+# gamma 1.9
+k,gamma_k,n_k,T_k,slack
+1,1.9,4,2.0794415416798357,0.17944154167983584
+2,3.61,19,3.637586159726386,0.027586159726386228
+3,6.858999999999999,477,6.860663671448287,0.001663671448287829
+4,13.032099999999998,228423,13.032101632779375,1.6327793765924525e-06
+"""
+
+
 def test_schedule_overflow_partial_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"schedule": {"gamma": 1.9, "k_max": 30}})
     out = str(tmp_path / "s.csv")
     assert cli.main(["schedule", "--config", cfg, "--out", out]) == 3
     rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")][1:]
     assert 0 < len(rows) < 30
+    # the levels below the overflow, as written when each level was rebuilt
+    assert open(out).read() == SCHEDULE_OVERFLOW_CSV
 
 
 def test_validate_oracles_json(tmp_path):
@@ -106,6 +121,49 @@ def test_validate_oracles_json(tmp_path):
     doc = json.loads(open(out).read())
     assert doc["report"]["pass"] is True
     assert "config_hash" in doc
+
+
+def test_validate_thresholds_verdict(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {**BASE, "reps": 2000,
+                     "validate": {"suite": "thresholds", "n": 1000, "epsilon": 0.2}})
+    out = str(tmp_path / "r.json")
+    assert cli.main(["validate", "--config", cfg, "--out", out]) == 0
+    report = json.loads(open(out).read())["report"]
+    assert report["pass"] is True and report["below_ok"] and report["above_ok"]
+
+
+def test_validate_thresholds_envelope_miss_exit_3(tmp_path):
+    # the envelopes are asymptotic: at r = 4, n = 10 the early tail is about
+    # 0.54 against an envelope of 0.33
+    model = {"r": 4, "profile": {"kind": "constant", "value": 1.0}}
+    cfg = write_cfg(tmp_path, "c.json",
+                    {**BASE, "model": model, "reps": 2000,
+                     "validate": {"suite": "thresholds", "n": 10, "epsilon": 0.1}})
+    out = str(tmp_path / "r.json")
+    assert cli.main(["validate", "--config", cfg, "--out", out]) == 3
+    report = json.loads(open(out).read())["report"]
+    assert report["pass"] is False and report["above_ok"] is False
+    assert report["p_above_at_early"] > report["envelope_above"]
+
+
+def test_validate_alpha_k_reports_no_verdict(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {**BASE, "reps": 4, "validate": {"suite": "alpha_k", "k": 2}})
+    out = str(tmp_path / "r.json")
+    assert cli.main(["validate", "--config", cfg, "--out", out]) == 0
+    report = json.loads(open(out).read())["report"]
+    assert "pass" not in report
+    assert report["reps"] + report["censored"] == 4
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, firesim, firesim.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_unknown_suite_exit_2(tmp_path):

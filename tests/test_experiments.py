@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firesim import experiments
+from firesim import analytic, experiments
 from firesim.model import CapExceeded, ModelConfig, RateProfile
 from firesim.rng import rep_rng
 
@@ -145,6 +145,78 @@ def test_mc_estimate_counts_censoring():
 def test_mc_estimate_rejects_tiny_reps():
     with pytest.raises(ValueError):
         experiments.mc_estimate(lambda s: 0.0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# sparse vacant-run sampler against the exact law
+# ---------------------------------------------------------------------------
+
+VACANT_RUN_PROFILES = {
+    "constant": RateProfile.constant(1.0),
+    "periodic": RateProfile.periodic((0.5, 1.0, 2.0), 0.5, 2.0),
+    "explicit": RateProfile.explicit(
+        tuple(np.random.default_rng(3).uniform(0.4, 1.6, size=400)), 0.4, 1.6),
+}
+
+
+def assert_hit_law(hits, profile, r, t, n):
+    """Hit frequency within 4 sigma of 1 - p_n; exact where p_n is 0 or 1."""
+    p = 1.0 - analytic.p_n_dp(profile, r, n, t)
+    if p in (0.0, 1.0):
+        assert np.all(hits == bool(p)), (r, n, t, p)
+        return
+    z = (hits.mean() - p) / math.sqrt(p * (1 - p) / len(hits))
+    assert abs(z) <= 4, (r, n, t, p, hits.mean(), z)
+
+
+@pytest.mark.parametrize("kind", sorted(VACANT_RUN_PROFILES))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_sample_vacant_run_within_law(kind, r):
+    profile = VACANT_RUN_PROFILES[kind]
+    for n in (r, 7, 40, 300):
+        for t in (0.0, 0.2, 1.0, 3.0, 2000.0):   # t = 2000: every p_x underflows to 0
+            hits = experiments.sample_vacant_run_within(
+                rep_rng(9, 100 * r + n), profile, r, t, n, 10_000)
+            assert hits.shape == (10_000,) and hits.dtype == bool
+            assert_hit_law(hits, profile, r, t, n)
+    assert experiments.sample_vacant_run_within(rep_rng(9, 0), profile, r, 0.0, r, 5).all()
+    assert not experiments.sample_vacant_run_within(rep_rng(9, 0), profile, r, 2000.0, 40, 5).any()
+    assert not experiments.sample_vacant_run_within(rep_rng(9, 0), profile, r, 0.0, r - 1, 5).any()
+
+
+class _CountingRng:
+    """Forwards to a Generator, counting `geometric` calls."""
+
+    def __init__(self, gen):
+        self.gen, self.geometric_calls = gen, 0
+
+    def geometric(self, *args, **kwargs):
+        self.geometric_calls += 1
+        return self.gen.geometric(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self.gen.random(*args, **kwargs)
+
+
+def test_sample_vacant_run_within_top_up(monkeypatch):
+    """Rows whose candidates stop short of n are extended, not truncated:
+    with one gap per block every row needs top-ups, and the law holds."""
+    monkeypatch.setattr(experiments, "_gap_block_width", lambda n, p_max: 1)
+    profile = VACANT_RUN_PROFILES["periodic"]
+    for r in (1, 2, 3):
+        for n, t in ((7, 0.3), (7, 1.0), (40, 1.0), (40, 0.0)):
+            gen = _CountingRng(rep_rng(10, 10 * r + n))
+            hits = experiments.sample_vacant_run_within(gen, profile, r, t, n, 10_000)
+            assert gen.geometric_calls > 1
+            assert_hit_law(hits, profile, r, t, n)
+
+
+def test_sample_vacant_run_within_deterministic():
+    profile = VACANT_RUN_PROFILES["explicit"]
+    for r, t, n in ((1, 3.0, 300), (2, 1.0, 40), (3, 0.2, 300)):
+        a = experiments.sample_vacant_run_within(rep_rng(11, r), profile, r, t, n, 3000)
+        b = experiments.sample_vacant_run_within(rep_rng(11, r), profile, r, t, n, 3000)
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -178,3 +178,37 @@ def test_continuous_sampler_agrees_with_field_simulation():
                     fast.std(ddof=1) / math.sqrt(reps))
     assert abs(sim.mean() - fast.mean()) < 3.5 * se
     assert abs((sim == 0).mean() - (fast == 0).mean()) < 0.04
+
+
+def _reach_cont_loop_reference(rng_, t, size, budget, connect=1.0):
+    """The per-replication chunk planner that `sample_green_reach_cont` used
+    before its chunks came from a cumulative sum."""
+    p_stop = np.exp(-t * connect)
+    m = rng_.geometric(p_stop, size=size) - 1
+    out = np.empty(size, dtype=float)
+    lo = 0
+    while lo < size:
+        hi = lo + 1
+        total = int(m[lo])
+        while hi < size and total + m[hi] <= budget:
+            total += int(m[hi])
+            hi += 1
+        u = rng_.random(total)
+        w = -np.log1p(-u * (1.0 - p_stop)) / t
+        seg = np.repeat(np.arange(hi - lo), m[lo:hi])
+        out[lo:hi] = np.bincount(seg, weights=w, minlength=hi - lo)
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 7, 40])
+def test_continuous_sampler_chunks_match_loop(monkeypatch, budget):
+    """Chunk boundaries from the cumulative gap count are the greedy loop's,
+    so the draws are bit-identical, also when one replication alone passes
+    the budget."""
+    if budget is not None:
+        monkeypatch.setattr(green, "_GAP_BUDGET", budget)
+    for seed, t, size in ((1, 0.5, 1), (2, 1.0, 500), (3, 3.0, 200), (4, 0.05, 300)):
+        fast = green.sample_green_reach_cont(rep_rng(seed, 0), t, size)
+        ref = _reach_cont_loop_reference(rep_rng(seed, 0), t, size, green._GAP_BUDGET)
+        assert np.array_equal(fast, ref)

@@ -110,7 +110,6 @@ def test_schedule_overflow_partial_exit_3(tmp_path):
     assert cli.main(["schedule", "--config", cfg, "--out", out]) == 3
     rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")][1:]
     assert 0 < len(rows) < 30
-    # the levels below the overflow, as written when each level was rebuilt
     assert open(out).read() == SCHEDULE_OVERFLOW_CSV
 
 

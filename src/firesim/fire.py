@@ -10,8 +10,12 @@ burn advances only the burnt, occupied sites.  The reach follows the same
 vacant-run rule as the green process, which makes the fire/green
 coincidence at record times exact.
 
-Reach values can be right-censored at a site window: a burn whose scan
-exhausts the window is recorded with reach equal to the window size and
+The continuous state, `green._Continuum`, has the same structure, and
+`run_fire` drives both states through one loop.
+
+Reach values can be right-censored at a window: a burn whose scan
+exhausts the window is recorded with reach equal to the window size (on
+the continuous model, the reach of its chain inside the window) and
 flagged.  Everything the window covers stays exact, because burning [0, W]
 has the same effect on sites <= W regardless of how far the true reach
 extends.
@@ -25,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .green import first_vacant_run
+from .green import DEFAULT_TIME_CAP, _Continuum, first_vacant_run
 from .model import CapExceeded, ModelConfig, NoiseField
 
-DEFAULT_TIME_CAP = 1e4
 DEFAULT_SITE_CAP = 1 << 22
 
 
@@ -123,6 +126,10 @@ class _Lattice:
         self._advance(1 + np.flatnonzero(self.time[1:min(reach, cap - 1) + 1] <= t), t)
         return reach, censored
 
+    def ignitions(self):
+        """Ignition times after t0, in order: site 0's arrivals."""
+        return self.noise.arrivals_after(0, self.t0)
+
     def restart(self, t: float) -> "_Lattice":
         """A copy of this state, restarted all-vacant at time t."""
         other = copy.copy(self)
@@ -132,14 +139,20 @@ class _Lattice:
         return other
 
 
-def _initial_window(targets, reach_window, site_cap) -> int:
+def _window(config: ModelConfig, targets, reach_window, site_cap):
+    """The scan cap: a window of about twice the largest target or
+    `reach_window`, within site_cap; site_cap without either.  A lattice
+    window is a power of two of at least 256 sites."""
+    if not targets and reach_window is None:
+        return site_cap
+    if config.space == "continuous":
+        return min(max(64.0, 2.0 * max(targets, default=0.0), reach_window or 0.0), site_cap)
     need = 256
     if targets:
         need = max(need, 2 * int(max(targets)) + 64)
     if reach_window is not None:
         need = max(need, int(reach_window))
-    W = 1 << int(np.ceil(np.log2(need)))
-    return min(W, site_cap)
+    return min(1 << int(np.ceil(np.log2(need))), site_cap)
 
 
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
@@ -152,23 +165,23 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     target, and a burn that passes it is recorded censored at the window.
     With `reach_window` set, every burn reach is right-censored at that
     window; targets must then lie inside the window.  Otherwise a burn
-    passing `site_cap` raises CapExceeded.
+    passing `site_cap` raises CapExceeded.  On the continuous model the
+    window and caps are lengths.
     """
-    if config.space == "continuous":
-        return _run_fire_continuous(noise, config, targets, time_cap=time_cap)
-    targets = sorted(set(targets))
-    if targets and targets[0] < 1:
-        raise ValueError("targets must be >= 1")
-    cap = (_initial_window(targets, reach_window, site_cap)
-           if targets or reach_window is not None else site_cap)
+    continuous = config.space == "continuous"
+    targets = sorted({float(x) for x in targets} if continuous else set(targets))
+    if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
+        raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
+    cap = _window(config, targets, reach_window, site_cap)
+    state = (_Continuum(noise, config, cap, time_cap) if continuous
+             else _Lattice(noise, config.r, cap, 0.0))
     trace = FireTrace()
     unmet = list(targets)
     u_max = 0
-    lattice = _Lattice(noise, config.r, cap, 0.0)
-    for t in itertools.takewhile(lambda t: t <= time_cap, noise.arrivals_after(0, 0.0)):
-        reach, censored = lattice.burn(t)
+    for t in itertools.takewhile(lambda t: t <= time_cap, state.ignitions()):
+        reach, censored = state.burn(t)
         if censored and reach_window is None and not (unmet and reach >= unmet[-1]):
-            raise CapExceeded(f"site window cap {site_cap} exceeded")
+            raise CapExceeded(f"window cap {cap} exceeded")
         trace.events.append(BurnEvent(t, reach, censored))
         trace.censored = trace.censored or censored
         if reach > u_max:
@@ -199,12 +212,12 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
         raise ValueError("need cycles >= 1 and n_k >= 1")
     if reach_window is None:
         reach_window = 64 * n_k
-    cap = _initial_window([n_k], reach_window, DEFAULT_SITE_CAP)
+    cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
     fire = _Lattice(noise, config.r, cap, 0.0)
     blue = None   # blue coincides with fire on cycle 1
     records: list[RenewalRecord] = []
     prev_t = 0.0
-    for t in itertools.takewhile(lambda t: t <= time_cap, noise.arrivals_after(0, 0.0)):
+    for t in itertools.takewhile(lambda t: t <= time_cap, fire.ignitions()):
         rho_F, cens_F = fire.burn(t)
         rho_B, cens_B = blue.burn(t) if blue else (rho_F, cens_F)
         if rho_F >= n_k:
@@ -241,69 +254,3 @@ def detect_gap_event(noise: NoiseField, config: ModelConfig, span, start: float,
     xs = np.sort(pts[(ts >= start) & (ts < start + duration), 0])
     edges = np.concatenate([[0.0], xs, [float(span)]])
     return bool(np.max(np.diff(edges)) >= config.connect_distance)
-
-
-# ---------------------------------------------------------------------------
-# continuous engine
-# ---------------------------------------------------------------------------
-
-def _run_fire_continuous(noise: NoiseField, config: ModelConfig, targets, *,
-                         time_cap: float, length_cap: float = 1e7) -> FireTrace:
-    """Event-driven continuous fire: trees arrive, clusters touching the
-    ignition zone burn instantly and are deleted.
-
-    A burn whose cluster may pass the spatial window L doubles L and starts
-    over, unless it covers every unmet target: then it is the last burn,
-    recorded censored with the reach of its chain inside the window.
-    """
-    import bisect
-
-    targets = sorted(set(float(x) for x in targets))
-    if targets and targets[0] <= 0:
-        raise ValueError("targets must be > 0")
-    connect, ignite = config.connect_distance, config.ignite_distance
-    T = min(2.0 * np.log(max(targets) + 2) + 8.0, time_cap) if targets else time_cap
-    L = 64.0 if not targets else max(64.0, 2.0 * max(targets))
-    while True:
-        if L > length_cap:
-            raise CapExceeded(f"spatial window cap {length_cap} exceeded")
-        pts = noise.points_in(0.0, L, 0.0, T)
-        order = np.argsort(pts[:, 1], kind="stable")
-        trace = FireTrace()
-        unmet = list(targets)
-        u_max = 0.0
-        alive: list[float] = []
-        grow_space = False
-        for p, t in pts[order]:
-            bisect.insort(alive, p)
-            if p > ignite:
-                continue
-            # ignition: burn the cluster chained from the origin
-            k = 0
-            reach = alive[0]   # alive[0] <= p <= ignite
-            while k + 1 < len(alive) and alive[k + 1] - alive[k] <= connect:
-                k += 1
-                reach = alive[k]
-            censored = bool(reach > L - connect)   # may extend past the window
-            if censored and not (unmet and reach >= unmet[-1]):
-                grow_space = True
-                break
-            del alive[:k + 1]
-            trace.events.append(BurnEvent(float(t), float(reach), censored))
-            trace.censored = trace.censored or censored
-            if reach > u_max:
-                u_max = reach
-                trace.records.append((float(t), float(reach)))
-            while unmet and unmet[0] <= reach:
-                trace.tau[unmet.pop(0)] = float(t)
-            if targets and not unmet:
-                return trace
-        if grow_space:
-            L *= 2
-            continue
-        if targets and unmet:
-            if T < time_cap:
-                T = min(2 * T, time_cap)
-                continue
-            trace.complete = False
-        return trace

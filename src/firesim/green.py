@@ -27,6 +27,7 @@ from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
 DEFAULT_SITE_CAP = 1 << 24
 DEFAULT_TIME_CAP = 1e4
 _GAP_BUDGET = 8_000_000    # gaps drawn at once by sample_green_reach_cont
+_COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
 
 
 def first_vacant_run(vacant: np.ndarray, r: int) -> int:
@@ -112,66 +113,105 @@ def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
 # continuous model
 # ---------------------------------------------------------------------------
 
-def _chain_reach(positions: np.ndarray, ignite: float, connect: float) -> float:
-    """Rightmost point of the cluster chained from the origin; 0 if empty."""
-    if len(positions) == 0 or positions[0] > ignite:
-        return 0.0
-    gaps = np.diff(positions)
-    stop = np.argmax(gaps > connect) if len(gaps) else 0
-    if len(gaps) == 0 or gaps[stop] <= connect:
-        return float(positions[-1])
-    return float(positions[stop])
+class _Continuum:
+    """Lazy state of the continuous fire process on [0, cap] x [0, time_cap].
+
+    Every burn removes the standing trees of a prefix [0, reach], so the
+    state is the trees no burn has removed, sorted by position; a tree
+    stands at t iff it arrived by t.  Unit columns are read in doubling
+    blocks only while a chain may pass the columns read, and unit time rows
+    only as far as the ignitions or a query need, so each cell is read once.
+    Without burns the state is the green process.
+    """
+
+    def __init__(self, noise: NoiseField, config: ModelConfig, cap: float,
+                 time_cap: float):
+        self.noise, self.cap, self.time_cap = noise, float(cap), float(time_cap)
+        self.connect, self.ignite = config.connect_distance, config.ignite_distance
+        self.trees = np.empty((0, 2))      # (position, arrival time) rows
+        self.cols = int(np.ceil(min(max(_COLS, self.ignite), self.cap)))
+        self.rows = 0
+
+    def _read(self, cols: int, rows: int) -> None:
+        """Extend the cells read to [0, cols) x [0, rows)."""
+        pts = np.concatenate([self.trees, self.noise.cells(self.cols, cols, 0, rows),
+                              self.noise.cells(0, self.cols, self.rows, rows)])
+        pts = pts[(pts[:, 0] <= self.cap) & (pts[:, 1] <= self.time_cap)]
+        self.trees = pts[np.argsort(pts[:, 0], kind="stable")]
+        self.cols, self.rows = cols, rows
+
+    def _more_rows(self, t: float = 0.0) -> float:
+        """Read the next block of time rows: at least _ROWS rows, twice as
+        many as before and through t, up to time_cap.  Returns the time now
+        covered."""
+        rows = max(2 * self.rows, _ROWS, t)
+        self._read(self.cols, int(np.ceil(min(rows, self.time_cap))))
+        return min(self.rows, self.time_cap)
+
+    def reach(self, t: float) -> tuple[float, bool]:
+        """(reach, censored) at time t: the chain from the rightmost standing
+        tree within the ignite distance across gaps of at most the connect
+        distance, 0.0 without such a tree.  A chain that may pass the cap is
+        censored, with the reach of its part inside the cap."""
+        if self.rows < min(t, self.time_cap):
+            self._more_rows(t)
+        while True:
+            pos = self.trees[self.trees[:, 1] <= t, 0]
+            k = np.searchsorted(pos, self.ignite, "right") - 1
+            stop = np.flatnonzero(np.diff(pos[max(k, 0):]) > self.connect)
+            reach = 0.0 if k < 0 else float(pos[k + stop[0]] if len(stop) else pos[-1])
+            width = min(self.cols, self.cap)
+            if reach <= width - self.connect or width == self.cap:
+                return reach, bool(reach > width - self.connect)
+            self._read(int(np.ceil(min(2 * self.cols, self.cap))), self.rows)
+
+    def burn(self, t: float) -> tuple[float, bool]:
+        """Burn at ignition time t; returns (reach, censored)."""
+        reach, censored = self.reach(t)
+        self.trees = self.trees[(self.trees[:, 0] > reach) | (self.trees[:, 1] > t)]
+        return reach, censored
+
+    def ignitions(self):
+        """Arrival times of the trees within the ignite distance, in order,
+        reading time rows in doubling blocks as they are consumed."""
+        lo = 0.0
+        while lo < self.time_cap:
+            hi = self._more_rows()
+            pos, time = self.trees[:, 0], self.trees[:, 1]
+            yield from np.sort(time[(pos <= self.ignite) & (time > lo) & (time <= hi)]).tolist()
+            lo = hi
 
 
 def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float,
-                          length_cap: float = 1e7) -> float:
+                          length_cap: float = DEFAULT_SITE_CAP) -> float:
     """Rightmost cluster point of the continuous green process at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    L = 16.0
-    while L <= length_cap:
-        pts = noise.points_in(0.0, L, 0.0, t)
-        reach = _chain_reach(pts[:, 0], config.ignite_distance, config.connect_distance)
-        if reach < L - config.connect_distance:
-            return reach
-        L *= 2
-    raise CapExceeded(f"green cluster exceeded spatial window cap {length_cap}")
+    reach, censored = _Continuum(noise, config, length_cap, t).reach(t)
+    if censored:
+        raise CapExceeded(f"green cluster exceeded spatial window cap {length_cap}")
+    return reach
 
 
 def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float,
-                            time_cap: float = DEFAULT_TIME_CAP,
-                            length_cap: float = 1e7) -> float:
-    """First time the continuous green reach meets or passes x (event-driven)."""
+                            time_cap: float = DEFAULT_TIME_CAP) -> float:
+    """First time the continuous green reach meets or passes x.
+
+    The chain's first tree at or past x lies within max(x + connect, ignite),
+    so no column beyond that is read.  The green reach only grows, so tau is
+    the first tree time at which it is >= x, found by bisection.
+    """
     if x <= 0:
         raise ValueError("x must be > 0")
-    connect = config.connect_distance
-    T = max(4.0, 2.0 * np.log(max(x, 2.0)))
-    while T <= 4 * time_cap:
-        L = x + connect * (T + 8.0)   # reach beyond x only needs a bounded overshoot
-        if L > length_cap:
-            raise CapExceeded("spatial window cap exceeded")
-        pts = noise.points_in(0.0, L, 0.0, min(T, time_cap))
-        order = np.argsort(pts[:, 1], kind="stable")
-        positions: list[float] = []
-        reach = 0.0
-        for p, s in pts[order]:
-            bisect.insort(positions, p)
-            if reach == 0.0:
-                if p <= config.ignite_distance:
-                    reach = p
-                else:
-                    continue
-            # advance the chain through everything now connected
-            i = bisect.bisect_right(positions, reach)
-            while i < len(positions) and positions[i] - reach <= connect:
-                reach = positions[i]
-                i += 1
-            if reach >= x:
-                return float(s)
-        if T >= time_cap:
-            break
-        T *= 2
-    raise CapExceeded(f"green process did not reach {x} before time cap {time_cap}")
+    state = _Continuum(noise, config, max(x + config.connect_distance,
+                                          config.ignite_distance), time_cap)
+    t = 0.0
+    while state.reach(t)[0] < x:
+        if t >= time_cap:
+            raise CapExceeded(f"green process did not reach {x} before time cap {time_cap}")
+        t = state._more_rows()
+    times = np.sort(state.trees[:, 1])
+    return float(times[bisect.bisect_left(times, True, key=lambda s: state.reach(s)[0] >= x)])
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,9 @@ class NoiseField:
 
     Continuous: a space-time Poisson point set of the configured intensity,
     generated per unit cell from (master_seed, cell), so window growth
-    never reshuffles previously exposed points.  The cells a query needs
-    that are not cached yet are drawn together, in one block.
+    never reshuffles previously exposed points.  `points_in` caches the
+    cells it reads and draws the ones not cached yet together, in one
+    block; `cells` draws a block of whole cells without caching them.
     """
 
     def __init__(self, master_seed: int, config: ModelConfig):
@@ -231,8 +232,9 @@ class NoiseField:
         return self.advance(np.arange(start, stop), lam, 0.0, 0, t)[2]
 
     # ----- continuous -----------------------------------------------------
-    def _generate_cells(self, keys: list[tuple[int, int]]) -> None:
-        """Draw and cache the points of the unit cells `keys` in one pass.
+    def _draw_cells(self, ij: np.ndarray):
+        """Points of the unit cells ij (rows (i, j)), drawn in one pass, cell
+        by cell, and each cell's count.
 
         Cell (i, j) has a Poisson(intensity) count n, the inversion of
         counter 0 of its stream, and point m (0 <= m < n) at position
@@ -240,19 +242,23 @@ class NoiseField:
         is a pure function of (seed, stream, counter), so a cell's points
         do not depend on which other cells share its block.
         """
-        ij = np.array(keys, dtype=np.int64)
         stream = rng.cell_stream(ij[:, 0], ij[:, 1])
         u = rng.counter_uniform(self.master_seed, stream, 0)
         n = np.minimum(np.searchsorted(_poisson_cdf(self.config.intensity), u, "left"),
                        _POISSON_KMAX)
-        cell = np.repeat(np.arange(len(keys)), n)
-        first = np.cumsum(n) - n
-        m = np.arange(len(cell)) - first[cell]
+        cell = np.repeat(np.arange(len(ij)), n)
+        m = np.arange(len(cell)) - (np.cumsum(n) - n)[cell]
         pos = rng.counter_uniform(self.master_seed, stream[cell], 1 + m)
         time = rng.counter_uniform(self.master_seed, stream[cell], 1 + n[cell] + m)
-        pts = np.column_stack([ij[cell, 0] + pos, ij[cell, 1] + time])
-        bounds = [*first.tolist(), len(cell)]
-        self._cells.update(zip(keys, (pts[lo:hi] for lo, hi in zip(bounds, bounds[1:]))))
+        return np.column_stack([ij[cell, 0] + pos, ij[cell, 1] + time]), n
+
+    def cells(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        """Points of the unit cells [i0, i1) x [j0, j1) as an (n, 2) array,
+        drawn in one pass and not cached."""
+        if i0 >= i1 or j0 >= j1:
+            return np.empty((0, 2))
+        i, j = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
+        return self._draw_cells(np.column_stack([i.ravel(), j.ravel()]))[0]
 
     def points_in(self, a: float, b: float, s: float, t: float) -> np.ndarray:
         """Points of the space-time Poisson process in [a,b] x [s,t].
@@ -269,7 +275,8 @@ class NoiseField:
                                       range(int(np.floor(s)), int(np.floor(t)) + 1)))
         missing = [key for key in keys if key not in self._cells]
         if missing:
-            self._generate_cells(missing)
+            pts, n = self._draw_cells(np.array(missing, dtype=np.int64))
+            self._cells.update(zip(missing, np.split(pts, np.cumsum(n)[:-1])))
         pts = np.concatenate([self._cells[key] for key in keys])
         keep = (pts[:, 0] >= a) & (pts[:, 0] <= b) & (pts[:, 1] >= s) & (pts[:, 1] <= t)
         pts = pts[keep]

@@ -19,6 +19,7 @@ _A = np.uint64(0x9E3779B97F4A7C15)   # golden-ratio increment
 _B = np.uint64(0xBF58476D1CE4E5B9)
 _C = np.uint64(0x94D049BB133111EB)
 _D = np.uint64(0xD6E8FEB86659FD93)
+_ONE = np.uint64(1)
 
 # stream-id salts keeping the logical sources disjoint
 SALT_SITE = 0x100000000
@@ -58,22 +59,26 @@ def counter_exponential(seed, stream, counter):
     return -np.log(counter_uniform(seed, stream, counter))
 
 
+def _stream(inputs, weights, salt: int, mult: np.uint64):
+    """Stream id(s) (sum of input * weight + salt) * mult, modulo 2**64; one
+    numpy uint64 when no input is an array."""
+    z = (sum(_u64(x) * w for x, w in zip(inputs, weights)) + np.uint64(salt)) * mult
+    return z[0] if _scalar(*inputs) else z
+
+
 def site_stream(x):
     """Stream id for lattice site x (discrete model)."""
-    z = (_u64(x) + np.uint64(SALT_SITE)) * _A
-    return z[0] if _scalar(x) else z
+    return _stream((x,), (_ONE,), SALT_SITE, _A)
 
 
 def cell_stream(i, j):
     """Stream id for the unit space-time cell [i,i+1)x[j,j+1)."""
-    z = (_u64(i) * _B + _u64(j) * _C + np.uint64(SALT_CELL)) * _A
-    return z[0] if _scalar(i, j) else z
+    return _stream((i, j), (_B, _C), SALT_CELL, _A)
 
 
 def profile_stream(x):
     """Stream id for sampling the rate of site x (iid-uniform profiles)."""
-    z = (_u64(x) + np.uint64(SALT_PROFILE)) * _C
-    return z[0] if _scalar(x) else z
+    return _stream((x,), (_ONE,), SALT_PROFILE, _C)
 
 
 def replication_seed(master_seed: int, index: int) -> int:

@@ -234,6 +234,17 @@ def test_validate_prop1_small():
     assert rep["records_checked"] > 0
 
 
+def test_validate_prop1_continuous_ignite_beyond_connect():
+    # the fire and both green readers must chain from the rightmost tree
+    # within the ignite distance, not from the leftmost or first-arrived one
+    cfg = ModelConfig(space="continuous", connect_distance=0.5, ignite_distance=2.0)
+    rep = experiments.validate_prop1(cfg, 4.0, 30, 5, targets=(2.0, 6.0))
+    assert rep["taus_checked"] > 0 and rep["records_checked"] > 0
+    assert rep["tau_violations"] == 0
+    assert rep["record_mismatches"] == 0
+    assert rep["pass"]
+
+
 def test_validate_prop1_rejects_bad_horizon():
     with pytest.raises(ValueError):
         experiments.validate_prop1(CFG1, 0.0, 5, 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from firesim import fire, green
-from firesim.model import ModelConfig, NoiseField, RateProfile
+from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import replication_seed
 
 
@@ -234,13 +234,23 @@ def test_gap_event_continuous_manual():
 # ---------------------------------------------------------------------------
 
 def test_continuous_engine_matches_reference():
-    cfg = ModelConfig(space="continuous", r=1)
-    for seed in range(15):
-        noise = NoiseField(replication_seed(90, seed), cfg)
-        ref = reference_fire_continuous(noise, cfg, 3.0, 300.0)
-        trace = fire.run_fire(noise, cfg, targets=(), time_cap=3.0)
-        got = [(ev.time, ev.rightmost) for ev in trace.events]
-        assert got == pytest.approx(ref)
+    # the low-intensity runs go past the engine's first time rows and, for
+    # some seeds, past its first block of columns; with distance 4 some
+    # burns pass it before the time rows grow
+    longest = 0.0
+    wide = ModelConfig(space="continuous", intensity=0.1, connect_distance=4.0,
+                       ignite_distance=4.0)
+    for cfg, horizon, length in [(ModelConfig(space="continuous", r=1), 3.0, 300.0),
+                                 (ModelConfig(space="continuous", intensity=0.4), 16.0, 400.0),
+                                 (wide, 16.0, 400.0)]:
+        for seed in range(15):
+            noise = NoiseField(replication_seed(90, seed), cfg)
+            ref = reference_fire_continuous(noise, cfg, horizon, length)
+            trace = fire.run_fire(noise, cfg, targets=(), time_cap=horizon)
+            got = [(ev.time, ev.rightmost) for ev in trace.events]
+            assert got == pytest.approx(ref)
+            longest = max([longest, *(reach for _, reach in got)])
+    assert longest > 32.0
 
 
 def test_continuous_targets_complete():
@@ -264,3 +274,43 @@ def test_continuous_terminal_burn_pinned():
     assert trace.events[-1].time == trace.tau[5.0]
     assert trace.events[-1].censored is True and trace.censored
     assert not any(ev.censored for ev in trace.events[:-1])
+
+
+LOW_INTENSITY = ModelConfig(space="continuous", intensity=0.4)
+
+
+def run_low_intensity(seed, **caps):
+    noise = NoiseField(replication_seed(90, seed), LOW_INTENSITY)
+    return fire.run_fire(noise, LOW_INTENSITY, time_cap=16.0, **caps)
+
+
+def test_continuous_site_cap_raises_past_the_cap():
+    raised = 0
+    for seed in range(15):
+        full = run_low_intensity(seed)
+        if max(ev.rightmost for ev in full.events) <= 64.0 - LOW_INTENSITY.connect_distance:
+            assert run_low_intensity(seed, site_cap=64).events == full.events
+        else:
+            raised += 1
+            with pytest.raises(CapExceeded):
+                run_low_intensity(seed, site_cap=64)
+    assert raised > 0
+
+
+def test_continuous_reach_window_censors_inside_window():
+    # burning [0, reach] has the same effect inside the window as the true
+    # burn, so only the censored reaches differ, and they are lower bounds
+    window = 64.0
+    censored = 0
+    for seed in range(15):
+        full, cut = run_low_intensity(seed), run_low_intensity(seed, reach_window=window)
+        assert [ev.time for ev in cut.events] == [ev.time for ev in full.events]
+        for whole, part in zip(full.events, cut.events):
+            if part.censored:
+                censored += 1
+                assert window - LOW_INTENSITY.connect_distance < part.rightmost <= window
+                assert part.rightmost <= whole.rightmost
+            else:
+                assert part == whole
+        assert cut.censored == any(ev.censored for ev in cut.events)
+    assert censored > 0

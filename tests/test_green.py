@@ -1,5 +1,6 @@
 """Green-process reach: exhaustive rule checks, couplings and distributions."""
 
+import bisect
 import itertools
 import math
 
@@ -139,25 +140,62 @@ def naive_reach_cont(positions, connect, ignite):
 
 
 def test_continuous_reach_matches_naive():
-    cfg = ModelConfig(space="continuous", r=1)
-    for seed in range(40):
-        noise = NoiseField(replication_seed(31, seed), cfg)
-        for t in (0.5, 1.5, 3.0):
-            pts = noise.points_in(0.0, 400.0, 0.0, t)
-            expect = naive_reach_cont(pts[:, 0], cfg.connect_distance,
-                                      cfg.ignite_distance)
-            assert green.simulate_N_green_cont(noise, cfg, t) == \
-                pytest.approx(expect)
+    # at intensity 0.3 and t >= 12 most clusters pass the first block of
+    # columns, while the naive window of 400 still holds them
+    longest = 0.0
+    for cfg, times in [(ModelConfig(space="continuous", r=1), (0.5, 1.5, 3.0)),
+                       (ModelConfig(space="continuous", intensity=0.3), (12.0, 16.0))]:
+        for seed in range(40):
+            noise = NoiseField(replication_seed(31, seed), cfg)
+            for t in times:
+                pts = noise.points_in(0.0, 400.0, 0.0, t)
+                expect = naive_reach_cont(pts[:, 0], cfg.connect_distance,
+                                          cfg.ignite_distance)
+                assert green.simulate_N_green_cont(noise, cfg, t) == \
+                    pytest.approx(expect)
+                longest = max(longest, expect)
+    assert 32.0 < longest < 390.0
+
+
+def cluster_reach_cont(positions, connect, ignite):
+    """Rightmost tree connected to the origin: the origin reaches every tree
+    within the ignite distance, a tree every tree within the connect
+    distance (a search over the whole cluster, no chain shortcut)."""
+    pos = sorted(positions)
+    reached = {i for i, p in enumerate(pos) if p <= ignite}
+    frontier = list(reached)
+    while frontier:
+        i = frontier.pop()
+        lo = bisect.bisect_left(pos, pos[i] - connect)
+        hi = bisect.bisect_right(pos, pos[i] + connect)
+        for j in set(range(lo, hi)) - reached:
+            reached.add(j)
+            frontier.append(j)
+    return max((pos[i] for i in reached), default=0.0)
+
+
+@pytest.mark.parametrize("connect,ignite", [(0.5, 2.0), (1.5, 0.7), (1.0, 1.0)])
+def test_continuous_reach_matches_cluster_definition(connect, ignite):
+    cfg = ModelConfig(space="continuous", connect_distance=connect, ignite_distance=ignite)
+    for seed in range(25):
+        noise = NoiseField(replication_seed(33, seed), cfg)
+        for t in (0.5, 1.0, 2.0):
+            pts = noise.points_in(0.0, 120.0, 0.0, t)
+            expect = cluster_reach_cont(pts[:, 0], connect, ignite)
+            assert expect < 120.0 - connect
+            assert green.simulate_N_green_cont(noise, cfg, t) == expect
 
 
 def test_continuous_tau_is_first_passage():
-    cfg = ModelConfig(space="continuous", r=1)
-    for seed in range(20):
-        noise = NoiseField(replication_seed(32, seed), cfg)
-        x = 2.5
-        tau = green.simulate_tau_green_cont(noise, cfg, x)
-        assert green.simulate_N_green_cont(noise, cfg, tau) >= x
-        assert green.simulate_N_green_cont(noise, cfg, tau * (1 - 1e-9)) < x
+    for cfg, seeds in [(ModelConfig(space="continuous", r=1), 20),
+                       (ModelConfig(space="continuous", connect_distance=0.5,
+                                    ignite_distance=2.0), 30)]:
+        for seed in range(seeds):
+            noise = NoiseField(replication_seed(32, seed), cfg)
+            x = 2.5
+            tau = green.simulate_tau_green_cont(noise, cfg, x)
+            assert green.simulate_N_green_cont(noise, cfg, tau) >= x
+            assert green.simulate_N_green_cont(noise, cfg, tau * (1 - 1e-9)) < x
 
 
 def test_continuous_sampler_moments_t1():

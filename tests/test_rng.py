@@ -84,3 +84,24 @@ def test_rep_rng_reproducible():
 def test_stream_salts_disjoint():
     assert rng.site_stream(0) != rng.profile_stream(0)
     assert rng.site_stream(10) != rng.cell_stream(10, 0)
+
+
+M64 = 2**64
+
+
+@pytest.mark.filterwarnings("error")
+@given(U64, U64)
+def test_stream_ids_match_modular_formula(x, y):
+    """Each stream id is its defining formula in exact integer arithmetic,
+    reduced modulo 2**64, for scalars and arrays alike."""
+    A, B, C = int(rng._A), int(rng._B), int(rng._C)
+    expect = {
+        rng.site_stream: (x + rng.SALT_SITE) * A % M64,
+        rng.profile_stream: (x + rng.SALT_PROFILE) * C % M64,
+    }
+    for fn, value in expect.items():
+        assert isinstance(fn(x), np.uint64) and int(fn(x)) == value
+        assert fn(np.array([x, x], dtype=np.uint64)).tolist() == [value, value]
+    cell = (x * B + y * C + rng.SALT_CELL) * A % M64
+    assert isinstance(rng.cell_stream(x, y), np.uint64) and int(rng.cell_stream(x, y)) == cell
+    assert rng.cell_stream(np.array([x], dtype=np.uint64), y).tolist() == [cell]

@@ -151,7 +151,7 @@ def _tau_rep(args):
     config, target, seed, time_cap = args
     try:
         trace = fire.run_fire(NoiseField(seed, config), config,
-                              targets=[target], time_cap=time_cap)
+                              targets=[target], time_cap=time_cap, coupled=False)
     except CapExceeded:
         return math.nan
     return trace.tau[target] if trace.complete else math.nan
@@ -192,7 +192,8 @@ def cmd_run(cfg: dict, args) -> int:
               ["quantity", "estimate", "stderr", "reps", "seed", "censored"], rows)
     if args.emit_plot_data:
         trace = fire.run_fire(NoiseField(replication_seed(seed, 0), model),
-                              model, targets=[max(targets)], time_cap=time_cap)
+                              model, targets=[max(targets)], time_cap=time_cap,
+                              coupled=False)
         ev_rows = [(ev.time, ev.rightmost, ev.censored) for ev in trace.events]
         out = (args.out + ".trace.csv") if args.out else None
         write_csv(out, _header(cfg, seed, ["burn events of replication 0"]),

@@ -8,6 +8,7 @@ passing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -175,6 +176,10 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     for i in range(reps):
         noise = NoiseField(replication_seed(master_seed, i), config)
         trace = fire.run_fire(noise, config, targets=(), time_cap=horizon)
+        if config.space == "discrete":
+            n_green = functools.partial(green.simulate_N_green, noise, config)
+        else:
+            n_green = green.green_reach_cont(noise, config, horizon)
         for x in targets:
             tau_x = next((ev.time for ev in trace.events if ev.rightmost >= x), None)
             if tau_x is None:
@@ -187,12 +192,8 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
             if tau_x < tau_g - 1e-12:
                 tau_viol += 1
         for sigma, u in trace.records:
-            if config.space == "discrete":
-                ng = green.simulate_N_green(noise, config, sigma)
-            else:
-                ng = green.simulate_N_green_cont(noise, config, sigma)
             records_checked += 1
-            if abs(ng - u) > 1e-9:
+            if abs(n_green(sigma) - u) > 1e-9:
                 record_viol += 1
     return {
         "suite": "prop1",
@@ -396,7 +397,7 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
     for i in range(reps):
         noise = NoiseField(replication_seed(master_seed, i), config)
         try:
-            trace = fire.run_fire(noise, config, targets=[n_k, n_k1])
+            trace = fire.run_fire(noise, config, targets=[n_k, n_k1], coupled=False)
         except CapExceeded:
             censored += 1
             continue
@@ -454,16 +455,23 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
 
 def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
                   time_cap: float = fire.DEFAULT_TIME_CAP) -> dict:
-    """E tau_x over a grid of targets, with the fitted log-log exponent."""
+    """E tau_x over a grid of targets, with the fitted log-log exponent.
+
+    Replication i at target x runs on a seed derived from (master_seed, x,
+    i), so a row depends on neither the rest of the grid nor, through
+    shifted seeds, on another study's rows.
+    """
     rows = []
     min_ratio = float("inf")
     for x in x_grid:
         vals = []
         censored = 0
+        row_seed = replication_seed(master_seed, int(x))
         for i in range(reps):
-            noise = NoiseField(replication_seed(master_seed + int(x), i), config)
+            noise = NoiseField(replication_seed(row_seed, i), config)
             try:
-                trace = fire.run_fire(noise, config, targets=[x], time_cap=time_cap)
+                trace = fire.run_fire(noise, config, targets=[x], time_cap=time_cap,
+                                      coupled=False)
             except CapExceeded:
                 censored += 1
                 continue
@@ -514,7 +522,8 @@ def validate_permutation(profile: RateProfile, x: int, permutation, reps: int,
 
     def tau_sampler(config):
         def run(seed):
-            trace = fire.run_fire(NoiseField(seed, config), config, targets=[x])
+            trace = fire.run_fire(NoiseField(seed, config), config, targets=[x],
+                                  coupled=False)
             return trace.tau[x]
         return run
 

@@ -10,6 +10,13 @@ burn advances only the burnt, occupied sites.  The reach follows the same
 vacant-run rule as the green process, which makes the fire/green
 coincidence at record times exact.
 
+Advancing a burnt site through its stream draws every arrival it received
+while occupied, which only that coupling needs.  The memoryless state,
+`_Memoryless`, instead gives a site vacated at t its next arrival
+t + Exp(lambda_x), one fresh draw per vacancy from a second per-site
+stream.  Poisson arrivals are memoryless, so the burns have the same law;
+distributional estimates use it, pathwise checks do not.
+
 The continuous state, `green._Continuum`, has the same structure, and
 `run_fire` drives both states through one loop.
 
@@ -85,24 +92,28 @@ class _Lattice:
     """Lazy state of the lattice fire process started all-vacant at t0.
 
     The state of site x is its next arrival after its last burn (after t0
-    if never burnt), so x is occupied at t iff that arrival is <= t.  The
-    ignitions are site 0's arrivals, which the caller reads from the noise
-    field; site 0's own entry is never read.  Sites are materialised in
-    blocks only while the vacant-run scan needs more.
+    if never burnt), so x is occupied at t iff that arrival is <= t,
+    together with its cursor, its place in its noise stream: here the
+    unit-time sum of its arrivals so far and their count.  The ignitions
+    are site 0's arrivals, which the caller reads from the noise field;
+    site 0's own entry is never read.  Sites are materialised in blocks
+    only while the vacant-run scan needs more.
     """
 
     def __init__(self, noise: NoiseField, r: int, cap: int, t0: float):
         self.noise, self.r, self.cap, self.t0 = noise, r, cap, t0
-        self.lam, self.unit, self.count, self.time = self._vacant(0, min(64, cap))
+        self.lam, *self.cursor, self.time = self._vacant(0, min(64, cap))
 
     def _vacant(self, lo: int, hi: int):
-        """(lam, unit, count, time) of sites [lo, hi), all vacant at t0."""
+        """(lam, *cursor, time) of sites [lo, hi), all vacant at t0."""
         lam = self.noise.config.profile.rates(lo, hi)
         return (lam, *self.noise.advance(np.arange(lo, hi), lam, 0.0, 0, self.t0))
 
     def _advance(self, xs: np.ndarray, t: float) -> None:
-        self.unit[xs], self.count[xs], self.time[xs] = self.noise.advance(
-            xs, self.lam[xs], self.unit[xs], self.count[xs], t)
+        """Vacate the occupied sites xs at time t."""
+        unit, count = self.cursor
+        unit[xs], count[xs], self.time[xs] = self.noise.advance(
+            xs, self.lam[xs], unit[xs], count[xs], t)
 
     def burn(self, t: float) -> tuple[int, bool]:
         """Burn at ignition time t; returns (reach, censored).
@@ -119,8 +130,8 @@ class _Lattice:
                 break
             m = min(2 * m, cap)
             if m > len(self.time):
-                state = (self.lam, self.unit, self.count, self.time)
-                self.lam, self.unit, self.count, self.time = (
+                state = (self.lam, *self.cursor, self.time)
+                self.lam, *self.cursor, self.time = (
                     np.concatenate(pair) for pair in zip(state, self._vacant(len(self.time), m)))
         reach, censored = (cap, True) if j0 < 0 else (j0 + self.r - 1, False)
         self._advance(1 + np.flatnonzero(self.time[1:min(reach, cap - 1) + 1] <= t), t)
@@ -134,9 +145,30 @@ class _Lattice:
         """A copy of this state, restarted all-vacant at time t."""
         other = copy.copy(self)
         other.t0 = t
-        other.unit, other.count, other.time = self.unit.copy(), self.count.copy(), self.time.copy()
+        other.cursor = [a.copy() for a in self.cursor]
+        other.time = self.time.copy()
         other._advance(1 + np.flatnonzero(other.time[1:] <= t), t)
         return other
+
+
+class _Memoryless(_Lattice):
+    """The lattice state with the law of `_Lattice` but not its coupling.
+
+    Each vacancy takes one fresh draw (see the module docstring): a site's
+    cursor is its burns so far, k, and its vacancy k ends at its start plus
+    draw k of its vacancy stream over lambda_x.  A run's floats therefore
+    depend on (seed, site, k) only, not on how far sites are materialised.
+    """
+
+    def _vacant(self, lo: int, hi: int):
+        lam = self.noise.config.profile.rates(lo, hi)
+        burns = np.zeros(hi - lo, dtype=np.int64)
+        return lam, burns, self.noise.vacancy_arrivals(np.arange(lo, hi), lam, burns, self.t0)
+
+    def _advance(self, xs: np.ndarray, t: float) -> None:
+        (burns,) = self.cursor
+        burns[xs] += 1
+        self.time[xs] = self.noise.vacancy_arrivals(xs, self.lam[xs], burns[xs], t)
 
 
 def _window(config: ModelConfig, targets, reach_window, site_cap):
@@ -158,7 +190,8 @@ def _window(config: ModelConfig, targets, reach_window, site_cap):
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
              time_cap: float = DEFAULT_TIME_CAP,
              reach_window: int | None = None,
-             site_cap: int = DEFAULT_SITE_CAP) -> FireTrace:
+             site_cap: int = DEFAULT_SITE_CAP,
+             coupled: bool = True) -> FireTrace:
     """Simulate the fire process until every target is burnt (or a cap hits).
 
     With targets, the scan is capped at a window of about twice the largest
@@ -167,6 +200,12 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     window; targets must then lie inside the window.  Otherwise a burn
     passing `site_cap` raises CapExceeded.  On the continuous model the
     window and caps are lengths.
+
+    `coupled=False` runs the lattice on the memoryless state: the same law
+    from about a tenth of the draws, but not a function of the site
+    streams the green readers read, so for distributional estimates only.
+    The continuous state reads each cell once either way, so there the
+    switch changes nothing.
     """
     continuous = config.space == "continuous"
     targets = sorted({float(x) for x in targets} if continuous else set(targets))
@@ -174,7 +213,7 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
         raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
     cap = _window(config, targets, reach_window, site_cap)
     state = (_Continuum(noise, config, cap, time_cap) if continuous
-             else _Lattice(noise, config.r, cap, 0.0))
+             else (_Lattice if coupled else _Memoryless)(noise, config.r, cap, 0.0))
     trace = FireTrace()
     unmet = list(targets)
     u_max = 0

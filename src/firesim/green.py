@@ -182,15 +182,33 @@ class _Continuum:
             lo = hi
 
 
+def green_reach_cont(noise: NoiseField, config: ModelConfig, horizon: float,
+                     length_cap: float = DEFAULT_SITE_CAP):
+    """N_green(t) of the continuous model as a function of t in [0, horizon].
+
+    Every query reads the one fire-free state, so each cell is read once
+    however many times are asked.  A cluster that may pass `length_cap`
+    raises CapExceeded.
+    """
+    state = _Continuum(noise, config, length_cap, horizon)
+
+    def reach_at(t: float) -> float:
+        if not 0 <= t <= horizon:
+            raise ValueError(f"need 0 <= t <= horizon = {horizon}")
+        reach, censored = state.reach(t)
+        if censored:
+            raise CapExceeded(f"green cluster exceeded spatial window cap {length_cap}")
+        return reach
+
+    return reach_at
+
+
 def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float,
                           length_cap: float = DEFAULT_SITE_CAP) -> float:
     """Rightmost cluster point of the continuous green process at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    reach, censored = _Continuum(noise, config, length_cap, t).reach(t)
-    if censored:
-        raise CapExceeded(f"green cluster exceeded spatial window cap {length_cap}")
-    return reach
+    return green_reach_cont(noise, config, t, length_cap)(t)
 
 
 def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float,

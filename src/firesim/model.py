@@ -150,7 +150,8 @@ class NoiseField:
     site, the current partial sum and the count of exponentials in it, and
     `advance` moves those states forward; `arrivals_after` reads one site's
     stream in order.  Scaling every rate by c > 0 divides every arrival
-    time by c pathwise.
+    time by c pathwise.  `vacancy_arrivals` draws from a second stream per
+    site, one exponential per vacancy, for readers that need only the law.
 
     Continuous: a space-time Poisson point set of the configured intensity,
     generated per unit cell from (master_seed, cell), so window growth
@@ -206,6 +207,11 @@ class NoiseField:
             count[todo] += k + 1
             todo = todo[time[todo] <= t]
         return unit, count, time
+
+    def vacancy_arrivals(self, xs, lam, k, t):
+        """Arrival that ends vacancy k[i] of site xs[i], begun at t:
+        t + E / lam[i], E being counter k[i] of the site's vacancy stream."""
+        return t + rng.counter_exponential(self.master_seed, rng.vacancy_stream(xs), k) / lam
 
     def arrivals_after(self, x: int, t: float):
         """Arrival times of site x strictly after t, in order: an unbounded

@@ -26,6 +26,7 @@ SALT_SITE = 0x100000000
 SALT_CELL = 0x200000000
 SALT_PROFILE = 0x300000000
 SALT_REP = 0x400000000
+SALT_VACANCY = 0x500000000
 
 
 def _u64(x) -> np.ndarray:
@@ -69,6 +70,11 @@ def _stream(inputs, weights, salt: int, mult: np.uint64):
 def site_stream(x):
     """Stream id for lattice site x (discrete model)."""
     return _stream((x,), (_ONE,), SALT_SITE, _A)
+
+
+def vacancy_stream(x):
+    """Stream id for the vacancy waits of lattice site x (memoryless state)."""
+    return _stream((x,), (_ONE,), SALT_VACANCY, _A)
 
 
 def cell_stream(i, j):

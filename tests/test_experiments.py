@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firesim import analytic, experiments
+from firesim import analytic, experiments, fire
 from firesim.model import CapExceeded, ModelConfig, RateProfile
 from firesim.rng import rep_rng
 
@@ -299,6 +299,23 @@ def test_scaling_study_fully_censored_row():
     assert rep["min_tau_over_log_x"] == two["min_tau_over_log_x"]
     one = experiments.scaling_study(CFG1, [16, 10**6], 3, 5, time_cap=10.0)
     assert math.isnan(one["kappa_hat"])
+
+
+def test_scaling_study_seeds_are_not_shared_across_studies(monkeypatch):
+    # with seeds master_seed + x these two studies ran the same replications
+    seen = []
+    run_fire = fire.run_fire
+
+    def recording(noise, *args, **kwargs):
+        seen[-1].add(noise.master_seed)
+        return run_fire(noise, *args, **kwargs)
+
+    monkeypatch.setattr(fire, "run_fire", recording)
+    for master_seed, x in ((1301, 32), (1317, 16)):
+        seen.append(set())
+        experiments.scaling_study(CFG1, [x], 5, master_seed)
+    assert len(seen[0]) == len(seen[1]) == 5
+    assert seen[0].isdisjoint(seen[1])
 
 
 def test_validate_permutation_identity_exact():

@@ -132,16 +132,63 @@ def test_rightmost_by():
 
 
 def test_deterministic_across_window_sizes():
-    """Events inside the window do not depend on how wide it is."""
+    """Events inside the window do not depend on how wide it is, nor, in
+    either lattice state, on how far sites are materialised."""
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     noise = NoiseField(21, cfg)
-    a = fire.run_fire(noise, cfg, targets=[8])
-    b = fire.run_fire(noise, cfg, targets=[8], reach_window=4096)
-    ta = [(ev.time, ev.rightmost) for ev in a.events if not ev.censored]
-    tb = [(ev.time, ev.rightmost) for ev in b.events if not ev.censored]
-    n = min(len(ta), len(tb))
-    assert ta[:n] == pytest.approx(tb[:n])
-    assert a.tau[8] == pytest.approx(b.tau[8])
+    for coupled in (True, False):
+        a = fire.run_fire(noise, cfg, targets=[8], coupled=coupled)
+        b = fire.run_fire(noise, cfg, targets=[8], reach_window=4096, coupled=coupled)
+        ta = [(ev.time, ev.rightmost) for ev in a.events if not ev.censored]
+        tb = [(ev.time, ev.rightmost) for ev in b.events if not ev.censored]
+        n = min(len(ta), len(tb))
+        assert ta[:n] == tb[:n]
+        assert a.tau[8] == b.tau[8]
+        # burns past a 256-site window leave the sites beyond it unread
+        # there, and read in the wider run
+        narrow, wide = (fire.run_fire(noise, cfg, time_cap=30.0, reach_window=w,
+                                      coupled=coupled) for w in (256, 4096))
+        assert [ev.time for ev in narrow.events] == [ev.time for ev in wide.events]
+        assert narrow.censored
+        for part, whole in zip(narrow.events, wide.events):
+            assert part == whole if not part.censored else whole.rightmost >= 256
+
+
+LAW_PROFILES = [RateProfile.constant(1.0), RateProfile.periodic((0.6, 1.4, 1.0), 0.6, 1.4),
+                RateProfile.iid_uniform(0.5, 1.5, seed=7)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("profile", LAW_PROFILES, ids=lambda p: p.kind)
+def test_memoryless_state_has_the_coupled_law(r, profile):
+    """Two-sample z-tests of the two lattice states on tau_128 and on M,
+    the number of fires at 16 up to the first that reaches 128, each state
+    on its own master seed."""
+    cfg = ModelConfig(space="discrete", r=r, profile=profile)
+    reps = 400
+
+    def sample(coupled, master_seed):
+        tau, M = [], []
+        for i in range(reps):
+            trace = fire.run_fire(NoiseField(replication_seed(master_seed, i), cfg), cfg,
+                                  targets=[16, 128], coupled=coupled)
+            tau.append(trace.tau[128])
+            M.append(sum(ev.rightmost >= 16 and ev.time <= tau[-1] for ev in trace.events))
+        return np.array([tau, M], dtype=float)
+
+    a, b = sample(True, 1100 + r), sample(False, 2100 + r)
+    z = (a.mean(axis=1) - b.mean(axis=1)) / np.hypot(a.std(axis=1, ddof=1),
+                                                     b.std(axis=1, ddof=1)) * np.sqrt(reps)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_coupled_switch_is_inert_on_the_continuous_model():
+    cfg = ModelConfig(space="continuous", intensity=0.4)
+    for seed in range(5):
+        runs = [fire.run_fire(NoiseField(replication_seed(93, seed), cfg), cfg,
+                              targets=[6.0], time_cap=16.0, coupled=coupled)
+                for coupled in (True, False)]
+        assert runs[0] == runs[1]
 
 
 def test_run_fire_rejects_bad_targets():

@@ -55,6 +55,7 @@ def test_stream_independence_correlation():
         (rng.site_stream(1), rng.cell_stream(1, 1)),
         (rng.cell_stream(0, 1), rng.cell_stream(1, 0)),
         (rng.site_stream(5), rng.profile_stream(5)),
+        (rng.site_stream(5), rng.vacancy_stream(5)),
     ]
     for s1, s2 in pairs:
         u1 = rng.counter_uniform(9, s1, c)
@@ -84,6 +85,11 @@ def test_rep_rng_reproducible():
 def test_stream_salts_disjoint():
     assert rng.site_stream(0) != rng.profile_stream(0)
     assert rng.site_stream(10) != rng.cell_stream(10, 0)
+    xs = np.arange(1 << 16)
+    vacancy = set(rng.vacancy_stream(xs).tolist())
+    assert len(vacancy) == len(xs)
+    assert vacancy.isdisjoint(rng.site_stream(xs).tolist())
+    assert vacancy.isdisjoint(rng.profile_stream(xs).tolist())
 
 
 M64 = 2**64
@@ -98,6 +104,7 @@ def test_stream_ids_match_modular_formula(x, y):
     expect = {
         rng.site_stream: (x + rng.SALT_SITE) * A % M64,
         rng.profile_stream: (x + rng.SALT_PROFILE) * C % M64,
+        rng.vacancy_stream: (x + rng.SALT_VACANCY) * A % M64,
     }
     for fn, value in expect.items():
         assert isinstance(fn(x), np.uint64) and int(fn(x)) == value

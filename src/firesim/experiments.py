@@ -169,6 +169,15 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     the fire reach equals the green reach at every record time."""
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
+    # (N_green(t), tau_green(x)) readers on one replication's noise
+    if config.space == "discrete":
+        def green_readers(noise):
+            return (functools.partial(green.simulate_N_green, noise, config),
+                    lambda x: green.simulate_tau_green(noise, config, int(x)))
+    else:
+        def green_readers(noise):
+            return (green.green_reach_cont(noise, config, horizon),
+                    lambda x: green.simulate_tau_green_cont(noise, config, float(x)))
     tau_viol = 0
     record_viol = 0
     records_checked = 0
@@ -176,18 +185,12 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     for i in range(reps):
         noise = NoiseField(replication_seed(master_seed, i), config)
         trace = fire.run_fire(noise, config, targets=(), time_cap=horizon)
-        if config.space == "discrete":
-            n_green = functools.partial(green.simulate_N_green, noise, config)
-        else:
-            n_green = green.green_reach_cont(noise, config, horizon)
+        n_green, tau_green = green_readers(noise)
         for x in targets:
             tau_x = next((ev.time for ev in trace.events if ev.rightmost >= x), None)
             if tau_x is None:
                 continue
-            if config.space == "discrete":
-                tau_g = green.simulate_tau_green(noise, config, int(x))
-            else:
-                tau_g = green.simulate_tau_green_cont(noise, config, float(x))
+            tau_g = tau_green(x)
             taus_checked += 1
             if tau_x < tau_g - 1e-12:
                 tau_viol += 1
@@ -459,14 +462,17 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
 
     Replication i at target x runs on a seed derived from (master_seed, x,
     i), so a row depends on neither the rest of the grid nor, through
-    shifted seeds, on another study's rows.
+    shifted seeds, on another study's rows.  A lattice target enters as
+    int(x), a continuous one as the bits of float(x), so distinct
+    fractional targets get distinct seeds.
     """
     rows = []
     min_ratio = float("inf")
     for x in x_grid:
         vals = []
         censored = 0
-        row_seed = replication_seed(master_seed, int(x))
+        key = int(x) if config.space == "discrete" else int(np.float64(x).view(np.uint64))
+        row_seed = replication_seed(master_seed, key)
         for i in range(reps):
             noise = NoiseField(replication_seed(row_seed, i), config)
             try:

@@ -182,33 +182,29 @@ class _Continuum:
             lo = hi
 
 
-def green_reach_cont(noise: NoiseField, config: ModelConfig, horizon: float,
-                     length_cap: float = DEFAULT_SITE_CAP):
+def green_reach_cont(noise: NoiseField, config: ModelConfig, horizon: float):
     """N_green(t) of the continuous model as a function of t in [0, horizon].
 
     Every query reads the one fire-free state, so each cell is read once
-    however many times are asked.  A cluster that may pass `length_cap`
+    however many times are asked.  A cluster that may pass DEFAULT_SITE_CAP
     raises CapExceeded.
     """
-    state = _Continuum(noise, config, length_cap, horizon)
+    state = _Continuum(noise, config, DEFAULT_SITE_CAP, horizon)
 
     def reach_at(t: float) -> float:
         if not 0 <= t <= horizon:
             raise ValueError(f"need 0 <= t <= horizon = {horizon}")
         reach, censored = state.reach(t)
         if censored:
-            raise CapExceeded(f"green cluster exceeded spatial window cap {length_cap}")
+            raise CapExceeded(f"green cluster exceeded spatial window cap {DEFAULT_SITE_CAP}")
         return reach
 
     return reach_at
 
 
-def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float,
-                          length_cap: float = DEFAULT_SITE_CAP) -> float:
+def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float) -> float:
     """Rightmost cluster point of the continuous green process at time t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return green_reach_cont(noise, config, t, length_cap)(t)
+    return green_reach_cont(noise, config, t)(t)
 
 
 def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float,

@@ -318,6 +318,22 @@ def test_scaling_study_seeds_are_not_shared_across_studies(monkeypatch):
     assert seen[0].isdisjoint(seen[1])
 
 
+def test_scaling_study_fractional_targets_get_own_seeds(monkeypatch):
+    # seeded by int(x), the continuous targets 2.5 and 2.7 shared every seed
+    seen = {}
+    run_fire = fire.run_fire
+
+    def recording(noise, config, targets, **kwargs):
+        seen.setdefault(targets[0], set()).add(noise.master_seed)
+        return run_fire(noise, config, targets, **kwargs)
+
+    monkeypatch.setattr(fire, "run_fire", recording)
+    cfg = ModelConfig(space="continuous")
+    experiments.scaling_study(cfg, [2.5, 2.7], 5, 7, time_cap=50.0)
+    assert len(seen[2.5]) == len(seen[2.7]) == 5
+    assert seen[2.5].isdisjoint(seen[2.7])
+
+
 def test_validate_permutation_identity_exact():
     rep = experiments.validate_permutation(CFG1.profile, 4, [1, 2, 3, 4], 50, 4)
     assert rep["mean_original"] == rep["mean_permuted"]

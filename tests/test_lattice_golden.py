@@ -1,10 +1,12 @@
-"""The lattice engine reproduces a committed golden trace exactly.
+"""The lattice engine reproduces committed golden traces exactly.
 
 `tests/data/lattice_golden.json` pins every burn time, reach and censoring
 flag of `run_fire`, every `run_blue_experiment` record and every
 `detect_gap_event` verdict for r in {1, 2, 3} under constant, periodic and
-iid-uniform rate profiles.  Floats are stored by repr and compared with
-`==`, so any change to the arrival sums or the burn rule shows here.
+iid-uniform rate profiles.  `tests/data/memoryless_golden.json` pins the
+`run_fire` traces of the memoryless state (`coupled=False`) on the same
+grid.  Floats are stored by repr and compared with `==`, so any change to
+the arrival sums, the vacancy draws or the burn rule shows here.
 
 Regenerate (only when the pinned behaviour is meant to change) with
 
@@ -20,7 +22,7 @@ from firesim import fire
 from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import replication_seed
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "lattice_golden.json"
+DATA = pathlib.Path(__file__).parent / "data"
 
 PROFILES = {
     "constant": RateProfile.constant(1.0),
@@ -43,11 +45,23 @@ RUNS = {
     "gap": ("detect_gap_event", [(12, 0.5, 1.0), (40, 2.0, 0.7), (200, 1.0, 3.0)]),
 }
 
+# memoryless run_fire cases: targets, a fixed reach window, a target left
+# unmet at the time cap, and a site cap that raises CapExceeded
+MEMORYLESS = {
+    "targets": ("run_fire", {"targets": [5, 100], "coupled": False}),
+    "reach_window": ("run_fire", {"targets": (), "time_cap": 6.0, "reach_window": 256,
+                                  "coupled": False}),
+    "unmet": ("run_fire", {"targets": [5000], "time_cap": 3.0, "coupled": False}),
+    "site_cap": ("run_fire", {"targets": (), "time_cap": 8.0, "site_cap": 128,
+                              "coupled": False}),
+}
+GOLDEN = {"lattice_golden.json": RUNS, "memoryless_golden.json": MEMORYLESS}
 
-def _run(name: str, r: int, profile: str, seed: int):
+
+def _run(runs: dict, name: str, r: int, profile: str, seed: int):
     cfg = ModelConfig(space="discrete", r=r, profile=PROFILES[profile])
     noise = NoiseField(replication_seed(1000 + r, seed), cfg)
-    func, kwargs = RUNS[name]
+    func, kwargs = runs[name]
     try:
         if func == "run_fire":
             trace = fire.run_fire(noise, cfg, **kwargs)
@@ -66,7 +80,8 @@ def _run(name: str, r: int, profile: str, seed: int):
 
 
 def _cases():
-    return [(name, r, profile) for name in RUNS for r in (1, 2, 3) for profile in PROFILES]
+    return [(file, name, r, profile) for file, runs in GOLDEN.items() for name in runs
+            for r in (1, 2, 3) for profile in PROFILES]
 
 
 def _key(name, r, profile, seed):
@@ -75,18 +90,25 @@ def _key(name, r, profile, seed):
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return {file: json.loads((DATA / file).read_text()) for file in GOLDEN}
 
 
-@pytest.mark.parametrize("name,r,profile", _cases())
-def test_lattice_matches_golden(golden, name, r, profile):
+def _case_id(case):
+    file, name, r, profile = case
+    return f"{name}-{r}-{profile}" if file == "lattice_golden.json" else \
+        f"memoryless-{name}-{r}-{profile}"
+
+
+@pytest.mark.parametrize("file,name,r,profile", _cases(), ids=map(_case_id, _cases()))
+def test_lattice_matches_golden(golden, file, name, r, profile):
     for seed in SEEDS:
-        got = json.loads(json.dumps(_run(name, r, profile, seed)))
-        assert got == golden[_key(name, r, profile, seed)], _key(name, r, profile, seed)
+        got = json.loads(json.dumps(_run(GOLDEN[file], name, r, profile, seed)))
+        assert got == golden[file][_key(name, r, profile, seed)], _key(name, r, profile, seed)
 
 
 if __name__ == "__main__":
-    out = {_key(name, r, profile, seed): _run(name, r, profile, seed)
-           for name, r, profile in _cases() for seed in SEEDS}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    DATA.mkdir(exist_ok=True)
+    for file, runs in GOLDEN.items():
+        out = {_key(name, r, profile, seed): _run(runs, name, r, profile, seed)
+               for name in runs for r in (1, 2, 3) for profile in PROFILES for seed in SEEDS}
+        (DATA / file).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytic, experiments, fire
-from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
+from .model import ModelConfig, NoiseField, RateProfile
 from .rng import replication_seed
 
 
@@ -106,6 +106,30 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _number(value, where: str, *, least: float | None = None) -> float:
+    """`value` if it is a finite number > 0 (>= `least` when given);
+    ConfigError otherwise."""
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and (value > 0 if least is None else value >= least))
+    if not ok:
+        bound = "> 0" if least is None else f">= {least}"
+        raise ConfigError(f"{where} must be a finite number {bound}; got {value!r}")
+    return value
+
+
+def _targets(model: ModelConfig, values, where: str) -> list:
+    """A non-empty list of targets: numbers >= 1 on the lattice, > 0 on
+    the continuous model."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where} must be a non-empty list")
+    least = 1 if model.space == "discrete" else None
+    return [_number(v, f"each entry of {where}", least=least) for v in values]
+
+
+def _time_cap(section: dict, where: str) -> float:
+    return float(_number(section.get("time_cap", fire.DEFAULT_TIME_CAP), f"{where}.time_cap"))
+
+
 def _require_gamma(gamma: float) -> float:
     if not 1.0 < gamma < 2.0:
         raise ConfigError(f"gamma must satisfy gamma in (1,2); got {gamma}")
@@ -147,14 +171,15 @@ def _header(cfg: dict, seed: int, extra: list[str] = ()) -> list[str]:
 # replication workers (module level: must be picklable)
 # ---------------------------------------------------------------------------
 
-def _tau_rep(args):
-    config, target, seed, time_cap = args
-    try:
-        trace = fire.run_fire(NoiseField(seed, config), config,
-                              targets=[target], time_cap=time_cap, coupled=False)
-    except CapExceeded:
-        return math.nan
-    return trace.tau[target] if trace.complete else math.nan
+_REP_BLOCK = 32   # replications per `run` job, whatever the worker count
+
+
+def _tau_block(args):
+    """tau_target of a block of replications, run in lockstep; NaN where a
+    replication raised CapExceeded or stopped at the time cap."""
+    config, target, seeds, time_cap = args
+    taus = experiments.first_burn_times(config, seeds, target, time_cap=time_cap)
+    return [math.nan if tau is None else tau for tau in taus]
 
 
 def _pmap(fn, args_list, workers: int):
@@ -172,17 +197,18 @@ def _pmap(fn, args_list, workers: int):
 def cmd_run(cfg: dict, args) -> int:
     model = _build_model(cfg.get("model", {}))
     section = cfg.get("run", {})
-    targets = section.get("targets")
-    if not targets:
-        raise ConfigError("run.targets must be a non-empty list")
-    time_cap = float(section.get("time_cap", fire.DEFAULT_TIME_CAP))
+    targets = _targets(model, section.get("targets"), "run.targets")
+    time_cap = _time_cap(section, "run")
     seed, reps = args.seed, args.reps
     rows = []
     any_censoring = False
     for target in targets:
-        jobs = [(model, target, replication_seed(seed, i), time_cap)
-                for i in range(reps)]
-        vals = np.asarray(_pmap(_tau_rep, jobs, args.workers))
+        # fixed blocks of replication indices, joined in index order: the
+        # output does not depend on the worker count
+        jobs = [(model, target, [replication_seed(seed, i)
+                                 for i in range(lo, min(lo + _REP_BLOCK, reps))], time_cap)
+                for lo in range(0, reps, _REP_BLOCK)]
+        vals = np.concatenate(_pmap(_tau_block, jobs, args.workers))
         good = vals[~np.isnan(vals)]
         censored = int(np.isnan(vals).sum())
         any_censoring = any_censoring or censored > 0
@@ -221,10 +247,8 @@ def cmd_schedule(cfg: dict, args) -> int:
 def cmd_sweep(cfg: dict, args) -> int:
     model = _build_model(cfg.get("model", {}))
     section = cfg.get("sweep", {})
-    x_grid = section.get("x_grid")
-    if not x_grid:
-        raise ConfigError("sweep.x_grid must be a non-empty list")
-    time_cap = float(section.get("time_cap", fire.DEFAULT_TIME_CAP))
+    x_grid = _targets(model, section.get("x_grid"), "sweep.x_grid")
+    time_cap = _time_cap(section, "sweep")
     report = experiments.scaling_study(model, x_grid, args.reps, args.seed,
                                        time_cap=time_cap)
     rows = [(row["x"], row["mean_tau"], row["stderr"], row["reps"],
@@ -309,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, default=None,
                         help="replications (overrides config)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for `run` (default: CPU count); "
+                             "other commands ignore it")
     parser.add_argument("--emit-plot-data", action="store_true")
     return parser
 

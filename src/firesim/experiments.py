@@ -67,6 +67,15 @@ def _mean_and_stderr(vals) -> tuple[float, float]:
     return mean, stderr
 
 
+def first_burn_times(config: ModelConfig, seeds, x, **kwargs) -> list:
+    """tau_x of each replication seeded by `seeds` on the memoryless
+    lattice state, run in lockstep; None where the run raised CapExceeded
+    or stopped at the time cap before burning x."""
+    noises = [NoiseField(seed, config) for seed in seeds]
+    return [None if isinstance(res, CapExceeded) or not res.complete else res.tau[x]
+            for res in fire.run_fires(noises, config, targets=[x], coupled=False, **kwargs)]
+
+
 def mc_estimate(quantity, reps: int, master_seed: int,
                 quantity_id: str = "") -> EstimatorResult:
     """Mean/stderr of `quantity(seed)` over independent replications.
@@ -397,14 +406,9 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
     n_k, n_k1 = entries[k - 1].n_k, entries[k].n_k
     tau_k, tau_k1, M = [], [], []
     censored = 0
-    for i in range(reps):
-        noise = NoiseField(replication_seed(master_seed, i), config)
-        try:
-            trace = fire.run_fire(noise, config, targets=[n_k, n_k1], coupled=False)
-        except CapExceeded:
-            censored += 1
-            continue
-        if not trace.complete:
+    noises = [NoiseField(replication_seed(master_seed, i), config) for i in range(reps)]
+    for trace in fire.run_fires(noises, config, targets=[n_k, n_k1], coupled=False):
+        if isinstance(trace, CapExceeded) or not trace.complete:
             censored += 1
             continue
         t_k1 = trace.tau[n_k1]
@@ -469,22 +473,12 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
     rows = []
     min_ratio = float("inf")
     for x in x_grid:
-        vals = []
-        censored = 0
         key = int(x) if config.space == "discrete" else int(np.float64(x).view(np.uint64))
         row_seed = replication_seed(master_seed, key)
-        for i in range(reps):
-            noise = NoiseField(replication_seed(row_seed, i), config)
-            try:
-                trace = fire.run_fire(noise, config, targets=[x], time_cap=time_cap,
-                                      coupled=False)
-            except CapExceeded:
-                censored += 1
-                continue
-            if not trace.complete:
-                censored += 1
-                continue
-            vals.append(trace.tau[x])
+        taus = first_burn_times(config, [replication_seed(row_seed, i) for i in range(reps)], x,
+                            time_cap=time_cap)
+        vals = [tau for tau in taus if tau is not None]
+        censored = reps - len(vals)
         mean, stderr = _mean_and_stderr(vals)
         rows.append({
             "x": x,
@@ -514,6 +508,8 @@ def validate_permutation(profile: RateProfile, x: int, permutation, reps: int,
     """Short-range invariance of E tau_x under permutation of the first x
     rates; estimates under original and permuted profiles must agree."""
     perm = list(permutation)
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if sorted(perm) != list(range(1, x + 1)):
         raise ValueError("permutation must act on sites 1..x")
     if extent is None:
@@ -526,22 +522,16 @@ def validate_permutation(profile: RateProfile, x: int, permutation, reps: int,
     config_o = ModelConfig(space="discrete", r=1, profile=prof_orig)
     config_p = ModelConfig(space="discrete", r=1, profile=prof_perm)
 
-    def tau_sampler(config):
-        def run(seed):
-            trace = fire.run_fire(NoiseField(seed, config), config, targets=[x],
-                                  coupled=False)
-            return trace.tau[x]
-        return run
-
-    est_o = mc_estimate(tau_sampler(config_o), reps, master_seed, f"tau_{x}_orig")
-    est_p = mc_estimate(tau_sampler(config_p), reps, master_seed, f"tau_{x}_perm")
-    sigma = math.hypot(est_o.stderr, est_p.stderr)
+    seeds = [replication_seed(master_seed, i) for i in range(reps)]
+    (mean_o, se_o), (mean_p, se_p) = (
+        _mean_and_stderr([tau for tau in first_burn_times(config, seeds, x) if tau is not None])
+        for config in (config_o, config_p))
+    sigma = math.hypot(se_o, se_p)
     return {
         "suite": "permutation",
         "x": x,
-        "mean_original": est_o.mean,
-        "mean_permuted": est_p.mean,
+        "mean_original": mean_o,
+        "mean_permuted": mean_p,
         "stderr_combined": sigma,
-        "pass": abs(est_o.mean - est_p.mean) <= 3 * sigma if sigma > 0
-        else est_o.mean == est_p.mean,
+        "pass": abs(mean_o - mean_p) <= 3 * sigma if sigma > 0 else mean_o == mean_p,
     }

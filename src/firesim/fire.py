@@ -31,11 +31,11 @@ extends.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .green import DEFAULT_TIME_CAP, _Continuum, first_vacant_run
 from .model import CapExceeded, ModelConfig, NoiseField
 
@@ -88,58 +88,130 @@ class RenewalRecord:
 # discrete engine
 # ---------------------------------------------------------------------------
 
-class _Lattice:
-    """Lazy state of the lattice fire process started all-vacant at t0.
+_CELLS = 1 << 16   # sites x rows a lattice state may hold: rows <= _CELLS // window
 
-    The state of site x is its next arrival after its last burn (after t0
-    if never burnt), so x is occupied at t iff that arrival is <= t,
-    together with its cursor, its place in its noise stream: here the
-    unit-time sum of its arrivals so far and their count.  The ignitions
-    are site 0's arrivals, which the caller reads from the noise field;
-    site 0's own entry is never read.  Sites are materialised in blocks
-    only while the vacant-run scan needs more.
+
+def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
+    """Per row of the 2-D `vacant`, the 0-based index of its first run of r
+    consecutive True; -1 where the row holds none."""
+    n = vacant.shape[1] - r + 1
+    if n <= 0:
+        return np.full(len(vacant), -1)
+    run = vacant[:, :n]
+    for k in range(1, r):
+        run = run & vacant[:, k:k + n]
+    idx = run.argmax(axis=1)
+    return np.where(run[np.arange(len(run)), idx], idx, -1)
+
+
+class _Lattice:
+    """Lazy states of R replications of the lattice fire process, started
+    all-vacant at t0 and stepped in lockstep.
+
+    Row i runs on noise[i]'s master seed.  The state of site x in a row is
+    its next arrival after its last burn (after t0 if never burnt), so x is
+    occupied at t iff that arrival is <= t, together with its cursor, its
+    place in its noise stream: here the unit-time sum of its arrivals so
+    far and their count.  Sites are materialised, for every row at once,
+    in blocks only while the vacant-run scan needs more; their rates and
+    stream ids are kept per site.  The ignitions are site 0's arrivals from
+    time 0, read for all rows together in blocks of 64; site 0's own entry
+    is never read.  Every row's floats are pure in (its seed, site, draw
+    index), so a row equals its run alone.
     """
 
-    def __init__(self, noise: NoiseField, r: int, cap: int, t0: float):
-        self.noise, self.r, self.cap, self.t0 = noise, r, cap, t0
-        self.lam, *self.cursor, self.time = self._vacant(0, min(64, cap))
+    def __init__(self, noise: list[NoiseField], r: int, cap: int, t0: float):
+        self.noise, self.r, self.cap, self.t0 = noise[0], r, cap, t0
+        self.seed = np.array([n.master_seed for n in noise], dtype=np.uint64)
+        self.lam, self.stream, *self.cursor, self.time = self._vacant(0, min(64, cap))
+        self.steps, self.ignition_unit = 0, np.zeros(len(noise))
+
+    @property
+    def rows(self) -> int:
+        return len(self.seed)
 
     def _vacant(self, lo: int, hi: int):
-        """(lam, *cursor, time) of sites [lo, hi), all vacant at t0."""
+        """(lam, stream, *cursor, time) of sites [lo, hi), all vacant at t0;
+        lam and stream per site, cursor and time per row and site."""
         lam = self.noise.config.profile.rates(lo, hi)
-        return (lam, *self.noise.advance(np.arange(lo, hi), lam, 0.0, 0, self.t0))
+        stream = rng.site_stream(np.arange(lo, hi))
+        shape = (self.rows, hi - lo)
+        state = self.noise.advance(np.broadcast_to(stream, shape).ravel(),
+                                   np.broadcast_to(lam, shape).ravel(), 0.0, 0, self.t0,
+                                   np.broadcast_to(self.seed[:, None], shape).ravel())
+        return (lam, stream, *(a.reshape(shape) for a in state))
 
-    def _advance(self, xs: np.ndarray, t: float) -> None:
-        """Vacate the occupied sites xs at time t."""
-        unit, count = self.cursor
-        unit[xs], count[xs], self.time[xs] = self.noise.advance(
-            xs, self.lam[xs], unit[xs], count[xs], t)
+    def _marked(self, burnt: np.ndarray, t: np.ndarray):
+        """Views of cursor and time over sites 1..w, with the stream id,
+        rate, time and seed of each site that `burnt` (rows x sites 1..w)
+        marks, in the mask's row-major order."""
+        w = burnt.shape[1]
+        at = np.flatnonzero(burnt)
+        row = at // w
+        site = at - row * w + 1
+        return ([a[:, 1:w + 1] for a in self.cursor], self.time[:, 1:w + 1],
+                self.stream[site], self.lam[site], t[row], self.seed[row])
 
-    def burn(self, t: float) -> tuple[int, bool]:
-        """Burn at ignition time t; returns (reach, censored).
+    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
+        """Vacate the occupied sites that `burnt` (rows x sites 1..w) marks,
+        each at its row's time t."""
+        (unit, count), time, stream, lam, t, seed = self._marked(burnt, t)
+        unit[burnt], count[burnt], time[burnt] = self.noise.advance(
+            stream, lam, unit[burnt], count[burnt], t, seed)
+
+    def _grow(self, width: int) -> None:
+        """Materialise sites up to `width` in every row."""
+        new = self._vacant(self.time.shape[1], width)
+        old = (self.lam, self.stream, *self.cursor, self.time)
+        self.lam, self.stream, *self.cursor, self.time = (
+            np.concatenate(pair, axis=-1) for pair in zip(old, new))
+
+    def ignite(self) -> np.ndarray:
+        """The next ignition time of every row."""
+        j = self.steps % 64
+        if j == 0:
+            sums, self.ignitions = self.noise._arrival_block(
+                rng.site_stream(0), self.lam[0], self.ignition_unit, self.steps, 64, self.seed)
+            self.ignition_unit = sums[:, -1]
+        self.steps += 1
+        return self.ignitions[:, j]
+
+    def burn(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Burn row i at its ignition time t[i]; returns (reach, censored)
+        per row.
 
         A scan that finds no vacant run among sites 1..cap-1 burns [0, cap)
         and reports reach `cap`, censored.  Only the burnt, occupied sites
-        advance.
+        advance, all rows in one draw.
         """
-        cap = self.cap
+        cap, r = self.cap, self.r
         m = min(64, cap)
-        while True:
-            j0 = first_vacant_run(self.time[1:m] > t, self.r)
-            if j0 >= 0 or m == cap:
-                break
+        j0 = _first_runs(self.time[:, 1:m] > t[:, None], r)
+        todo = np.flatnonzero(j0 < 0)
+        while len(todo) and m < cap:
             m = min(2 * m, cap)
-            if m > len(self.time):
-                state = (self.lam, *self.cursor, self.time)
-                self.lam, *self.cursor, self.time = (
-                    np.concatenate(pair) for pair in zip(state, self._vacant(len(self.time), m)))
-        reach, censored = (cap, True) if j0 < 0 else (j0 + self.r - 1, False)
-        self._advance(1 + np.flatnonzero(self.time[1:min(reach, cap - 1) + 1] <= t), t)
+            if m > self.time.shape[1]:
+                self._grow(m)
+            j0[todo] = _first_runs(self.time[todo, 1:m] > t[todo, None], r)
+            todo = todo[j0[todo] < 0]
+        censored = j0 < 0
+        reach = np.where(censored, cap, j0 + r - 1)
+        last = np.minimum(reach, cap - 1)
+        width = int(last.max())
+        burnt = self.time[:, 1:width + 1] <= t[:, None]
+        if last.min() < width:
+            burnt &= np.arange(1, width + 1) <= last[:, None]
+        if burnt.any():
+            self._advance(burnt, t)
         return reach, censored
 
-    def ignitions(self):
-        """Ignition times after t0, in order: site 0's arrivals."""
-        return self.noise.arrivals_after(0, self.t0)
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows where the mask `rows` is True."""
+        self.seed, self.time = self.seed[rows], self.time[rows]
+        self.cursor = [a[rows] for a in self.cursor]
+        self.ignition_unit = self.ignition_unit[rows]
+        if self.steps:
+            self.ignitions = self.ignitions[rows]
 
     def restart(self, t: float) -> "_Lattice":
         """A copy of this state, restarted all-vacant at time t."""
@@ -147,7 +219,7 @@ class _Lattice:
         other.t0 = t
         other.cursor = [a.copy() for a in self.cursor]
         other.time = self.time.copy()
-        other._advance(1 + np.flatnonzero(other.time[1:] <= t), t)
+        other._advance(other.time[:, 1:] <= t, np.full(self.rows, t))
         return other
 
 
@@ -156,19 +228,42 @@ class _Memoryless(_Lattice):
 
     Each vacancy takes one fresh draw (see the module docstring): a site's
     cursor is its burns so far, k, and its vacancy k ends at its start plus
-    draw k of its vacancy stream over lambda_x.  A run's floats therefore
+    draw k of its vacancy stream over lambda_x.  A row's floats therefore
     depend on (seed, site, k) only, not on how far sites are materialised.
     """
 
     def _vacant(self, lo: int, hi: int):
         lam = self.noise.config.profile.rates(lo, hi)
-        burns = np.zeros(hi - lo, dtype=np.int64)
-        return lam, burns, self.noise.vacancy_arrivals(np.arange(lo, hi), lam, burns, self.t0)
+        stream = rng.vacancy_stream(np.arange(lo, hi))
+        burns = np.zeros((self.rows, hi - lo), dtype=np.int64)
+        return lam, stream, burns, self.noise.vacancy_arrivals(
+            stream, lam, burns, self.t0, self.seed[:, None])
 
-    def _advance(self, xs: np.ndarray, t: float) -> None:
-        (burns,) = self.cursor
-        burns[xs] += 1
-        self.time[xs] = self.noise.vacancy_arrivals(xs, self.lam[xs], burns[xs], t)
+    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
+        (burns,), time, stream, lam, t, seed = self._marked(burnt, t)
+        k = burns[burnt] + 1
+        burns[burnt] = k
+        time[burnt] = self.noise.vacancy_arrivals(stream, lam, k, t, seed)
+
+
+class _OneRow:
+    """The continuous state, `green._Continuum`, as a one-row state of the
+    lockstep step interface; once its ignitions run out, the next is inf."""
+
+    rows = 1
+
+    def __init__(self, state: _Continuum):
+        self.state, self.times = state, state.ignitions()
+
+    def ignite(self) -> np.ndarray:
+        return np.array([next(self.times, np.inf)])
+
+    def burn(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        reach, censored = self.state.burn(float(t[0]))
+        return np.array([reach]), np.array([censored])
+
+    def keep(self, rows: np.ndarray) -> None:
+        pass
 
 
 def _window(config: ModelConfig, targets, reach_window, site_cap):
@@ -185,6 +280,77 @@ def _window(config: ModelConfig, targets, reach_window, site_cap):
     if reach_window is not None:
         need = max(need, int(reach_window))
     return min(1 << int(np.ceil(np.log2(need))), site_cap)
+
+
+def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
+    """Step every row of `state` through its ignitions up to time_cap until
+    its targets are burnt; one FireTrace per row, or the CapExceeded that
+    ended it.  Rows that finish are dropped from the state."""
+    traces: list = [FireTrace() for _ in range(state.rows)]
+    unmet = [list(targets) for _ in traces]
+    u_max = [0] * len(traces)
+    live = list(range(len(traces)))    # the trace index of each state row
+    while live:
+        t = state.ignite()
+        on = t <= time_cap
+        if not on.all():
+            for i in np.flatnonzero(~on):
+                traces[live[i]].complete = not unmet[live[i]]
+            live = [row for row, keep in zip(live, on) if keep]
+            state.keep(on)
+            if not live:
+                break
+            t = t[on]
+        reach, censored = state.burn(t)
+        going = np.ones(len(live), dtype=bool)
+        for i, (row, ti, ri, ci) in enumerate(zip(live, t.tolist(), reach.tolist(),
+                                                  censored.tolist())):
+            trace, todo = traces[row], unmet[row]
+            if ci and reach_window is None and not (todo and ri >= todo[-1]):
+                traces[row] = CapExceeded(f"window cap {cap} exceeded")
+                going[i] = False
+                continue
+            trace.events.append(BurnEvent(ti, ri, ci))
+            trace.censored = trace.censored or ci
+            if ri > u_max[row]:
+                u_max[row] = ri
+                trace.records.append((ti, ri))
+            while todo and todo[0] <= ri:
+                trace.tau[todo.pop(0)] = ti
+            going[i] = not (targets and not todo)
+        if not going.all():
+            live = [row for row, keep in zip(live, going) if keep]
+            state.keep(going)
+    return traces
+
+
+def run_fires(noises, config: ModelConfig, targets=(), *,
+              time_cap: float = DEFAULT_TIME_CAP,
+              reach_window: int | None = None,
+              site_cap: int = DEFAULT_SITE_CAP,
+              coupled: bool = True) -> list:
+    """`run_fire` on each noise field of `noises` (all of `config`): one
+    FireTrace per replication, in order, or the CapExceeded its run raised.
+
+    Lattice replications run in lockstep, in blocks of at most
+    _CELLS // window rows: each step ignites every live row, scans and burns
+    them together and drops the rows that finished.  Each row gets the
+    floats of its run alone.  Continuous replications run one by one.
+    """
+    continuous = config.space == "continuous"
+    targets = sorted({float(x) for x in targets} if continuous else set(targets))
+    if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
+        raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
+    cap = _window(config, targets, reach_window, site_cap)
+    if continuous:
+        states = (_OneRow(_Continuum(noise, config, cap, time_cap)) for noise in noises)
+    else:
+        block = max(1, _CELLS // cap)
+        kind = _Lattice if coupled else _Memoryless
+        states = (kind(noises[lo:lo + block], config.r, cap, 0.0)
+                  for lo in range(0, len(noises), block))
+    return [res for state in states
+            for res in _run_rows(state, targets, time_cap, reach_window, cap)]
 
 
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
@@ -205,32 +371,12 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     from about a tenth of the draws, but not a function of the site
     streams the green readers read, so for distributional estimates only.
     The continuous state reads each cell once either way, so there the
-    switch changes nothing.
+    switch changes nothing.  This is `run_fires` on one replication.
     """
-    continuous = config.space == "continuous"
-    targets = sorted({float(x) for x in targets} if continuous else set(targets))
-    if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
-        raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
-    cap = _window(config, targets, reach_window, site_cap)
-    state = (_Continuum(noise, config, cap, time_cap) if continuous
-             else (_Lattice if coupled else _Memoryless)(noise, config.r, cap, 0.0))
-    trace = FireTrace()
-    unmet = list(targets)
-    u_max = 0
-    for t in itertools.takewhile(lambda t: t <= time_cap, state.ignitions()):
-        reach, censored = state.burn(t)
-        if censored and reach_window is None and not (unmet and reach >= unmet[-1]):
-            raise CapExceeded(f"window cap {cap} exceeded")
-        trace.events.append(BurnEvent(t, reach, censored))
-        trace.censored = trace.censored or censored
-        if reach > u_max:
-            u_max = reach
-            trace.records.append((t, reach))
-        while unmet and unmet[0] <= reach:
-            trace.tau[unmet.pop(0)] = t
-        if targets and not unmet:
-            return trace
-    trace.complete = not unmet
+    (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
+                         reach_window=reach_window, site_cap=site_cap, coupled=coupled)
+    if isinstance(trace, CapExceeded):
+        raise trace
     return trace
 
 
@@ -252,13 +398,18 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
     if reach_window is None:
         reach_window = 64 * n_k
     cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
-    fire = _Lattice(noise, config.r, cap, 0.0)
+
+    def burn(state, t):
+        reach, censored = state.burn(np.array([t]))
+        return reach.item(), censored.item()
+
+    fire = _Lattice([noise], config.r, cap, 0.0)
     blue = None   # blue coincides with fire on cycle 1
     records: list[RenewalRecord] = []
     prev_t = 0.0
-    for t in itertools.takewhile(lambda t: t <= time_cap, fire.ignitions()):
-        rho_F, cens_F = fire.burn(t)
-        rho_B, cens_B = blue.burn(t) if blue else (rho_F, cens_F)
+    while (t := fire.ignite().item()) <= time_cap:
+        rho_F, cens_F = burn(fire, t)
+        rho_B, cens_B = burn(blue, t) if blue else (rho_F, cens_F)
         if rho_F >= n_k:
             records.append(RenewalRecord(
                 i=len(records) + 1, tau_i=t - prev_t, rho_i=rho_B, rho_F_i=rho_F,

@@ -141,6 +141,13 @@ def _poisson_cdf(mean: float) -> np.ndarray:
 _BLOCK = 1 << 18   # most exponentials NoiseField.advance draws at once
 
 
+def _filled(x, n: int, dtype) -> np.ndarray:
+    """A new array of n entries of dtype, x broadcast into it."""
+    out = np.empty(n, dtype=dtype)
+    out[...] = x
+    return out
+
+
 class NoiseField:
     """Reproducible Poisson randomness shared by every coupled process.
 
@@ -152,6 +159,8 @@ class NoiseField:
     stream in order.  Scaling every rate by c > 0 divides every arrival
     time by c pathwise.  `vacancy_arrivals` draws from a second stream per
     site, one exponential per vacancy, for readers that need only the law.
+    Both take a master seed per site, so one call can serve sites of many
+    replications (the lockstep lattice state of `fire`).
 
     Continuous: a space-time Poisson point set of the configured intensity,
     generated per unit cell from (master_seed, cell), so window growth
@@ -166,60 +175,72 @@ class NoiseField:
         self._cells: dict[tuple[int, int], np.ndarray] = {}
 
     # ----- discrete -------------------------------------------------------
-    def _arrival_block(self, xs, lam, unit, count, width: int):
+    def _arrival_block(self, stream, lam, unit, count, width: int, seed):
         """Unit sums and times of the next `width` arrivals of each site.
 
-        Row i starts from site xs[i]'s state (unit[i], count[i]) -- the sum
-        of its first count[i] unit-rate exponentials -- and adds the
-        exponentials with counters count[i], count[i] + 1, ... in sequence,
-        so a site's arrival times are the same floats however its reads are
-        split into blocks.  This is the only code that forms arrival sums.
+        Row i reads the stream stream[i] of master seed seed[i] from the
+        site's state (unit[i], count[i]) -- the sum of its first count[i]
+        unit-rate exponentials -- and adds the exponentials with counters
+        count[i], count[i] + 1, ... in sequence, so a site's arrival times
+        are the same floats however its reads are split into blocks or
+        stacked with other rows.  Scalars broadcast over the rows.  This is
+        the only code that forms arrival sums.
         """
-        e = rng.counter_exponential(self.master_seed, rng.site_stream(xs)[:, None],
-                                    count[:, None] + np.arange(width))
+        def col(a):
+            return np.asarray(a).reshape(-1, 1)
+
+        e = rng.counter_exponential(col(seed), col(stream), col(count) + np.arange(width))
         sums = np.cumsum(np.column_stack([unit, e]), axis=1)[:, 1:]
-        return sums, sums / lam[:, None]
+        return sums, sums / col(lam)
 
-    def advance(self, xs, lam, unit, count, t: float):
-        """Move each site xs[i] to its first arrival strictly after t.
+    def advance(self, stream, lam, unit, count, t, seed=None):
+        """Move each site to its first arrival strictly after t[i].
 
-        (unit[i], count[i]) is the site's state: the sum of its first
-        count[i] unit-rate exponentials, i.e. its count[i]-th arrival in
-        unit time, and (0.0, 0) before its first arrival (scalars
-        broadcast); lam[i] is its rate.  Returns the new (unit, count,
-        time) arrays, where time = unit / lam > t.
+        The sites are 1-D arrays: stream[i] is site i's stream id
+        (`rng.site_stream`), lam[i] its rate and (unit[i], count[i]) its
+        state: the sum of its first count[i] unit-rate exponentials, i.e.
+        its count[i]-th arrival in unit time, and (0.0, 0) before its first
+        arrival.  seed[i] is the master seed of the site's replication,
+        this field's by default.  unit, count, t and seed broadcast.
+        Returns the new (unit, count, time) arrays, where time = unit / lam
+        > t.
         """
-        xs = np.asarray(xs)
-        unit = np.broadcast_to(unit, xs.shape).astype(float)
-        count = np.broadcast_to(count, xs.shape).astype(np.int64)
+        n = len(stream)
+        seed = _filled(self.master_seed if seed is None else seed, n, np.uint64)
+        t = _filled(t, n, float)
+        unit = _filled(unit, n, float)
+        count = _filled(count, n, np.int64)
         time = unit / lam
         todo = np.flatnonzero((count == 0) | (time <= t))
         while len(todo):
             # enough steps for most sites to pass t, within a bounded block
-            need = max(float(np.max(lam[todo] * (t - time[todo]))), 0.0)
+            need = max(float(np.max(lam[todo] * (t[todo] - time[todo]))), 0.0)
             width = max(1, min(int(need + 2 * np.sqrt(need)) + 1, _BLOCK // len(todo)))
-            sums, times = self._arrival_block(xs[todo], lam[todo], unit[todo],
-                                              count[todo], width)
-            past = times > t
+            sums, times = self._arrival_block(stream[todo], lam[todo], unit[todo],
+                                              count[todo], width, seed[todo])
+            past = times > t[todo, None]
             k = np.where(past.any(axis=1), past.argmax(axis=1), width - 1)
             rows = np.arange(len(todo))
             unit[todo], time[todo] = sums[rows, k], times[rows, k]
             count[todo] += k + 1
-            todo = todo[time[todo] <= t]
+            todo = todo[time[todo] <= t[todo]]
         return unit, count, time
 
-    def vacancy_arrivals(self, xs, lam, k, t):
-        """Arrival that ends vacancy k[i] of site xs[i], begun at t:
-        t + E / lam[i], E being counter k[i] of the site's vacancy stream."""
-        return t + rng.counter_exponential(self.master_seed, rng.vacancy_stream(xs), k) / lam
+    def vacancy_arrivals(self, stream, lam, k, t, seed=None):
+        """Arrival that ends vacancy k of a site, begun at t: t + E / lam,
+        E being counter k of the site's vacancy stream `stream`
+        (`rng.vacancy_stream`) under master seed `seed`, this field's by
+        default.  All arguments broadcast."""
+        seed = self.master_seed if seed is None else seed
+        return t + rng.counter_exponential(seed, stream, k) / lam
 
     def arrivals_after(self, x: int, t: float):
         """Arrival times of site x strictly after t, in order: an unbounded
         iterator that reads the stream in blocks as it is consumed."""
-        lam = self.config.profile.rates(x, x + 1)
-        unit, count = np.zeros(1), np.zeros(1, dtype=np.int64)
+        lam, stream = self.config.profile.rates(x, x + 1), rng.site_stream(x)
+        unit, count = np.zeros(1), 0
         while True:
-            sums, times = self._arrival_block(np.array([x]), lam, unit, count, 64)
+            sums, times = self._arrival_block(stream, lam, unit, count, 64, self.master_seed)
             yield from times[0][times[0] > t].tolist()
             unit, count = sums[:, -1], count + 64
 
@@ -235,7 +256,7 @@ class NoiseField:
         With t = 0 these are the sites' first arrivals.
         """
         lam = self.config.profile.rates(start, stop)
-        return self.advance(np.arange(start, stop), lam, 0.0, 0, t)[2]
+        return self.advance(rng.site_stream(np.arange(start, stop)), lam, 0.0, 0, t)[2]
 
     # ----- continuous -----------------------------------------------------
     def _draw_cells(self, ij: np.ndarray):

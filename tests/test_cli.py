@@ -1,5 +1,6 @@
 """CLI: config validation, exit codes, output format and determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -60,12 +61,56 @@ def test_run_csv_output(tmp_path):
     assert 0 < tau4 < tau16
 
 
+# sha256 of the CSV body and of the --emit-plot-data trace of the run below,
+# as written by the serial (one replication at a time) engine
+RUN_CSV_SHA = "a5b49a1c056b6fb76580c92dc3d12818587311e216507131ecae49c78be19509"
+RUN_TRACE_SHA = "15938a646ea306ae8a8b0996cb967c3efb1ecfbf93c22c93ea6c9b278b3cb3f5"
+
+
 def test_run_determinism_across_workers(tmp_path):
-    cfg = write_cfg(tmp_path, "c.json", {**BASE, "run": {"targets": [8]}})
-    out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert cli.main(["run", "--config", cfg, "--out", out1, "--workers", "1"]) == 0
-    assert cli.main(["run", "--config", cfg, "--out", out2, "--workers", "3"]) == 0
-    assert open(out1).read() == open(out2).read()
+    # the time cap leaves 27 of 60 replications short of 8 and 54 of 64
+    cfg = write_cfg(tmp_path, "c.json",
+                    {**BASE, "run": {"targets": [8, 64], "time_cap": 4.5}})
+    digests = set()
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"{workers}.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--workers", workers,
+                         "--emit-plot-data"]) == 3
+        digests.add(tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in (out, tmp_path / f"{workers}.csv.trace.csv")))
+    assert digests == {(RUN_CSV_SHA, RUN_TRACE_SHA)}
+
+
+@pytest.mark.parametrize("model,section,bad", [
+    ({}, "run", {"targets": [0]}),
+    ({}, "run", {"targets": [8, 0.5]}),
+    ({}, "run", {"targets": ["8"]}),
+    ({}, "run", {"targets": [True]}),
+    ({}, "run", {"targets": 8}),
+    ({"space": "continuous"}, "run", {"targets": [0.0]}),
+    ({"space": "continuous"}, "run", {"targets": [-1.5]}),
+    ({}, "run", {"targets": [8], "time_cap": 0}),
+    ({}, "run", {"targets": [8], "time_cap": -3.0}),
+    ({}, "run", {"targets": [8], "time_cap": "10"}),
+    ({}, "sweep", {"x_grid": [0, 16]}),
+    ({}, "sweep", {"x_grid": [16, None]}),
+    ({"space": "continuous"}, "sweep", {"x_grid": [2.0, 0.0]}),
+    ({}, "sweep", {"x_grid": [16], "time_cap": 0.0}),
+], ids=["run-zero", "run-fraction-below-1", "run-string", "run-bool", "run-not-a-list",
+        "run-continuous-zero", "run-continuous-negative", "run-time-cap-zero",
+        "run-time-cap-negative", "run-time-cap-string", "sweep-zero", "sweep-null",
+        "sweep-continuous-zero", "sweep-time-cap-zero"])
+def test_bad_targets_and_time_cap_exit_2(tmp_path, capsys, model, section, bad):
+    cfg = write_cfg(tmp_path, "c.json", {"model": model, "reps": 4, section: bad})
+    assert cli.main([section, "--config", cfg, "--workers", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_continuous_fractional_target_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"space": "continuous"}, "reps": 3,
+                                         "run": {"targets": [0.5], "time_cap": 4.0}})
+    assert cli.main(["run", "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "o.csv")]) in (0, 3)
 
 
 def test_seed_override_changes_output(tmp_path):

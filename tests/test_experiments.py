@@ -304,13 +304,13 @@ def test_scaling_study_fully_censored_row():
 def test_scaling_study_seeds_are_not_shared_across_studies(monkeypatch):
     # with seeds master_seed + x these two studies ran the same replications
     seen = []
-    run_fire = fire.run_fire
+    run_fires = fire.run_fires
 
-    def recording(noise, *args, **kwargs):
-        seen[-1].add(noise.master_seed)
-        return run_fire(noise, *args, **kwargs)
+    def recording(noises, *args, **kwargs):
+        seen[-1].update(noise.master_seed for noise in noises)
+        return run_fires(noises, *args, **kwargs)
 
-    monkeypatch.setattr(fire, "run_fire", recording)
+    monkeypatch.setattr(fire, "run_fires", recording)
     for master_seed, x in ((1301, 32), (1317, 16)):
         seen.append(set())
         experiments.scaling_study(CFG1, [x], 5, master_seed)
@@ -321,13 +321,13 @@ def test_scaling_study_seeds_are_not_shared_across_studies(monkeypatch):
 def test_scaling_study_fractional_targets_get_own_seeds(monkeypatch):
     # seeded by int(x), the continuous targets 2.5 and 2.7 shared every seed
     seen = {}
-    run_fire = fire.run_fire
+    run_fires = fire.run_fires
 
-    def recording(noise, config, targets, **kwargs):
-        seen.setdefault(targets[0], set()).add(noise.master_seed)
-        return run_fire(noise, config, targets, **kwargs)
+    def recording(noises, config, targets, **kwargs):
+        seen.setdefault(targets[0], set()).update(noise.master_seed for noise in noises)
+        return run_fires(noises, config, targets, **kwargs)
 
-    monkeypatch.setattr(fire, "run_fire", recording)
+    monkeypatch.setattr(fire, "run_fires", recording)
     cfg = ModelConfig(space="continuous")
     experiments.scaling_study(cfg, [2.5, 2.7], 5, 7, time_cap=50.0)
     assert len(seen[2.5]) == len(seen[2.7]) == 5

@@ -182,6 +182,38 @@ def test_memoryless_state_has_the_coupled_law(r, profile):
     assert np.all(np.abs(z) <= 4.0), z
 
 
+def _outcome(result):
+    return ("CapExceeded", str(result)) if isinstance(result, CapExceeded) else result
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "memoryless"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_lockstep_rows_equal_their_runs_alone(monkeypatch, r, coupled):
+    """One run_fires call on 24 seeds equals 24 one-row calls.  The cell
+    budget is small, so the call splits into blocks of 4 or 8 rows, and in a
+    block rows finish, stop at the time cap or raise at different steps."""
+    monkeypatch.setattr(fire, "_CELLS", 1 << 10)
+    cfg = ModelConfig(space="discrete", r=r,
+                      profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3))
+    noises = [NoiseField(replication_seed(77 + r, i), cfg) for i in range(24)]
+    # time caps at which about half the rows reach 60, raise, or censor
+    caps = {1: (8.0, 8.0, 14.0), 2: (3.5, 5.0, 6.0), 3: (2.5, 3.0, 3.5)}[r]
+    cases = [({"targets": [5, 60], "time_cap": caps[0]}, "complete"),
+             ({"time_cap": caps[1], "site_cap": 128}, "raises"),
+             ({"time_cap": caps[2], "reach_window": 256}, "censored")]
+    for kwargs, mixed in cases:
+        batch = fire.run_fires(noises, cfg, coupled=coupled, **kwargs)
+        alone = [fire.run_fires([noise], cfg, coupled=coupled, **kwargs)[0]
+                 for noise in noises]
+        assert list(map(_outcome, batch)) == list(map(_outcome, alone)), kwargs
+        traces = [res for res in batch if isinstance(res, fire.FireTrace)]
+        flag = {"complete": [t.complete for t in traces],
+                "raises": [isinstance(res, CapExceeded) for res in batch],
+                "censored": [t.censored for t in traces]}[mixed]
+        assert any(flag) and not all(flag), (kwargs, mixed)
+        assert len({len(t.events) for t in traces}) > 1
+
+
 def test_coupled_switch_is_inert_on_the_continuous_model():
     cfg = ModelConfig(space="continuous", intensity=0.4)
     for seed in range(5):

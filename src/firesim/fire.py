@@ -17,8 +17,16 @@ t + Exp(lambda_x), one fresh draw per vacancy from a second per-site
 stream.  Poisson arrivals are memoryless, so the burns have the same law;
 distributional estimates use it, pathwise checks do not.
 
-The continuous state, `green._Continuum`, has the same structure, and
-`run_fire` drives both states through one loop.
+Lattice replications run in lockstep: a lattice state holds R
+replications as rows x sites arrays, one master seed per row.  Each step
+takes the next ignition of every live row, runs one vacant-run scan over
+all rows, advances the burnt, occupied sites of all rows in one draw and
+drops the rows that finished.  Every draw is a pure function of (row seed,
+site, draw index) and every arrival sum is formed along its own row, so a
+row's floats are those of its run alone.  `run_fires` runs a list of
+replications this way, in blocks of rows bounded by a cell budget;
+`run_fire` is the batch of one.  The continuous state, `green._Continuum`,
+has the same structure and runs as a one-row state through the same loop.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on
@@ -89,6 +97,7 @@ class RenewalRecord:
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 16   # sites x rows a lattice state may hold: rows <= _CELLS // window
+_DRAW = 1 << 13    # burnt sites one draw takes, unless one row burns more
 
 
 def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
@@ -100,8 +109,7 @@ def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
     run = vacant[:, :n]
     for k in range(1, r):
         run = run & vacant[:, k:k + n]
-    idx = run.argmax(axis=1)
-    return np.where(run[np.arange(len(run)), idx], idx, -1)
+    return np.where(run.any(axis=1), run.argmax(axis=1), -1)
 
 
 class _Lattice:
@@ -124,7 +132,9 @@ class _Lattice:
         self.noise, self.r, self.cap, self.t0 = noise[0], r, cap, t0
         self.seed = np.array([n.master_seed for n in noise], dtype=np.uint64)
         self.lam, self.stream, *self.cursor, self.time = self._vacant(0, min(64, cap))
-        self.steps, self.ignition_unit = 0, np.zeros(len(noise))
+        # site 0's arrivals: the current block of 64 per row and its last unit sum
+        self.steps, self.ignitions = 0, np.empty((len(noise), 64))
+        self.ignition_unit = np.zeros(len(noise))
 
     @property
     def rows(self) -> int:
@@ -141,37 +151,54 @@ class _Lattice:
                                    np.broadcast_to(self.seed[:, None], shape).ravel())
         return (lam, stream, *(a.reshape(shape) for a in state))
 
-    def _marked(self, burnt: np.ndarray, t: np.ndarray):
-        """Views of cursor and time over sites 1..w, with the stream id,
-        rate, time and seed of each site that `burnt` (rows x sites 1..w)
-        marks, in the mask's row-major order."""
+    def _marked(self, rows: slice, burnt: np.ndarray, t: np.ndarray):
+        """Views of cursor and time over `rows` and sites 1..w, with the
+        stream id, rate, time and seed of each site that `burnt` (those
+        rows x sites 1..w) marks, in the mask's row-major order; t holds
+        the rows' times."""
         w = burnt.shape[1]
-        at = np.flatnonzero(burnt)
-        row = at // w
-        site = at - row * w + 1
-        return ([a[:, 1:w + 1] for a in self.cursor], self.time[:, 1:w + 1],
-                self.stream[site], self.lam[site], t[row], self.seed[row])
+        row, site = np.divmod(np.flatnonzero(burnt), w)
+        site += 1
+        return ([a[rows, 1:w + 1] for a in self.cursor], self.time[rows, 1:w + 1],
+                self.stream[site], self.lam[site], t[row], self.seed[rows][row])
 
-    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
-        """Vacate the occupied sites that `burnt` (rows x sites 1..w) marks,
-        each at its row's time t."""
-        (unit, count), time, stream, lam, t, seed = self._marked(burnt, t)
+    def _advance(self, rows: slice, burnt: np.ndarray, t: np.ndarray) -> None:
+        """Vacate the occupied sites that `burnt` (`rows` x sites 1..w)
+        marks, each at its row's time in t."""
+        (unit, count), time, stream, lam, t, seed = self._marked(rows, burnt, t)
         unit[burnt], count[burnt], time[burnt] = self.noise.advance(
             stream, lam, unit[burnt], count[burnt], t, seed)
 
+    def _vacate(self, burnt: np.ndarray, t: np.ndarray) -> None:
+        """`_advance` the sites `burnt` (rows x sites 1..w) marks, in groups
+        of rows that burn at most _DRAW sites or are one row, so that the
+        draws' temporaries stay bounded."""
+        group = max(1, _DRAW // burnt.shape[1])
+        for lo in range(0, len(t), group):
+            part = burnt[lo:lo + group]
+            if part.any():
+                self._advance(slice(lo, lo + group), part, t[lo:lo + group])
+
     def _grow(self, width: int) -> None:
-        """Materialise sites up to `width` in every row."""
-        new = self._vacant(self.time.shape[1], width)
-        old = (self.lam, self.stream, *self.cursor, self.time)
-        self.lam, self.stream, *self.cursor, self.time = (
-            np.concatenate(pair, axis=-1) for pair in zip(old, new))
+        """Materialise sites up to `width` in every row, drawing at most
+        _DRAW sites at once and copying one array at a time."""
+        step = max(1, _DRAW // self.rows)
+        lam, stream, *cursor, time = zip(*(self._vacant(lo, min(lo + step, width))
+                                           for lo in range(self.time.shape[1], width, step)))
+        self.lam = np.concatenate([self.lam, *lam])
+        self.stream = np.concatenate([self.stream, *stream])
+        self.cursor = [np.concatenate([old, *new], axis=1)
+                       for old, new in zip(self.cursor, cursor)]
+        self.time = np.concatenate([self.time, *time], axis=1)
 
     def ignite(self) -> np.ndarray:
-        """The next ignition time of every row."""
+        """The next ignition time of every row: step s reads arrival s of
+        site 0, in blocks of 64 for all rows at once."""
         j = self.steps % 64
         if j == 0:
             sums, self.ignitions = self.noise._arrival_block(
-                rng.site_stream(0), self.lam[0], self.ignition_unit, self.steps, 64, self.seed)
+                rng.site_stream(np.zeros(1, dtype=np.int64)), self.lam[:1], self.ignition_unit,
+                np.array([self.steps]), 64, self.seed)
             self.ignition_unit = sums[:, -1]
         self.steps += 1
         return self.ignitions[:, j]
@@ -182,7 +209,8 @@ class _Lattice:
 
         A scan that finds no vacant run among sites 1..cap-1 burns [0, cap)
         and reports reach `cap`, censored.  Only the burnt, occupied sites
-        advance, all rows in one draw.
+        advance, all rows together in draws of at most _DRAW sites (or one
+        row).
         """
         cap, r = self.cap, self.r
         m = min(64, cap)
@@ -201,17 +229,15 @@ class _Lattice:
         burnt = self.time[:, 1:width + 1] <= t[:, None]
         if last.min() < width:
             burnt &= np.arange(1, width + 1) <= last[:, None]
-        if burnt.any():
-            self._advance(burnt, t)
+        if width:
+            self._vacate(burnt, t)
         return reach, censored
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where the mask `rows` is True."""
         self.seed, self.time = self.seed[rows], self.time[rows]
         self.cursor = [a[rows] for a in self.cursor]
-        self.ignition_unit = self.ignition_unit[rows]
-        if self.steps:
-            self.ignitions = self.ignitions[rows]
+        self.ignitions, self.ignition_unit = self.ignitions[rows], self.ignition_unit[rows]
 
     def restart(self, t: float) -> "_Lattice":
         """A copy of this state, restarted all-vacant at time t."""
@@ -219,7 +245,7 @@ class _Lattice:
         other.t0 = t
         other.cursor = [a.copy() for a in self.cursor]
         other.time = self.time.copy()
-        other._advance(other.time[:, 1:] <= t, np.full(self.rows, t))
+        other._vacate(other.time[:, 1:] <= t, np.full(self.rows, t))
         return other
 
 
@@ -235,12 +261,12 @@ class _Memoryless(_Lattice):
     def _vacant(self, lo: int, hi: int):
         lam = self.noise.config.profile.rates(lo, hi)
         stream = rng.vacancy_stream(np.arange(lo, hi))
-        burns = np.zeros((self.rows, hi - lo), dtype=np.int64)
+        burns = np.zeros((self.rows, hi - lo), dtype=np.int32)
         return lam, stream, burns, self.noise.vacancy_arrivals(
-            stream, lam, burns, self.t0, self.seed[:, None])
+            stream, lam, 0, self.t0, self.seed[:, None])
 
-    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
-        (burns,), time, stream, lam, t, seed = self._marked(burnt, t)
+    def _advance(self, rows: slice, burnt: np.ndarray, t: np.ndarray) -> None:
+        (burns,), time, stream, lam, t, seed = self._marked(rows, burnt, t)
         k = burns[burnt] + 1
         burns[burnt] = k
         time[burnt] = self.noise.vacancy_arrivals(stream, lam, k, t, seed)
@@ -282,6 +308,12 @@ def _window(config: ModelConfig, targets, reach_window, site_cap):
     return min(1 << int(np.ceil(np.log2(need))), site_cap)
 
 
+def _keep(state, live: list, keep: np.ndarray) -> list:
+    """Drop the state rows where `keep` is False; returns their new labels."""
+    state.keep(keep)
+    return [row for row, kept in zip(live, keep) if kept]
+
+
 def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
     """Step every row of `state` through its ignitions up to time_cap until
     its targets are burnt; one FireTrace per row, or the CapExceeded that
@@ -296,11 +328,9 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
         if not on.all():
             for i in np.flatnonzero(~on):
                 traces[live[i]].complete = not unmet[live[i]]
-            live = [row for row, keep in zip(live, on) if keep]
-            state.keep(on)
+            live, t = _keep(state, live, on), t[on]
             if not live:
                 break
-            t = t[on]
         reach, censored = state.burn(t)
         going = np.ones(len(live), dtype=bool)
         for i, (row, ti, ri, ci) in enumerate(zip(live, t.tolist(), reach.tolist(),
@@ -319,38 +349,17 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
                 trace.tau[todo.pop(0)] = ti
             going[i] = not (targets and not todo)
         if not going.all():
-            live = [row for row, keep in zip(live, going) if keep]
-            state.keep(going)
+            live = _keep(state, live, going)
     return traces
 
 
-def run_fires(noises, config: ModelConfig, targets=(), *,
-              time_cap: float = DEFAULT_TIME_CAP,
-              reach_window: int | None = None,
-              site_cap: int = DEFAULT_SITE_CAP,
-              coupled: bool = True) -> list:
-    """`run_fire` on each noise field of `noises` (all of `config`): one
-    FireTrace per replication, in order, or the CapExceeded its run raised.
-
-    Lattice replications run in lockstep, in blocks of at most
-    _CELLS // window rows: each step ignites every live row, scans and burns
-    them together and drops the rows that finished.  Each row gets the
-    floats of its run alone.  Continuous replications run one by one.
-    """
+def _targets_and_window(config: ModelConfig, targets, reach_window, site_cap):
+    """The sorted, checked targets and the scan cap of a run."""
     continuous = config.space == "continuous"
     targets = sorted({float(x) for x in targets} if continuous else set(targets))
     if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
         raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
-    cap = _window(config, targets, reach_window, site_cap)
-    if continuous:
-        states = (_OneRow(_Continuum(noise, config, cap, time_cap)) for noise in noises)
-    else:
-        block = max(1, _CELLS // cap)
-        kind = _Lattice if coupled else _Memoryless
-        states = (kind(noises[lo:lo + block], config.r, cap, 0.0)
-                  for lo in range(0, len(noises), block))
-    return [res for state in states
-            for res in _run_rows(state, targets, time_cap, reach_window, cap)]
+    return targets, _window(config, targets, reach_window, site_cap)
 
 
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
@@ -371,13 +380,50 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     from about a tenth of the draws, but not a function of the site
     streams the green readers read, so for distributional estimates only.
     The continuous state reads each cell once either way, so there the
-    switch changes nothing.  This is `run_fires` on one replication.
+    switch changes nothing.  On the lattice this is `run_fires` on one
+    replication.
     """
-    (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
-                         reach_window=reach_window, site_cap=site_cap, coupled=coupled)
+    targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
+    if config.space == "continuous":
+        state = _OneRow(_Continuum(noise, config, cap, time_cap))
+    else:
+        state = (_Lattice if coupled else _Memoryless)([noise], config.r, cap, 0.0)
+    (trace,) = _run_rows(state, targets, time_cap, reach_window, cap)
     if isinstance(trace, CapExceeded):
         raise trace
     return trace
+
+
+def run_fires(noises, config: ModelConfig, targets=(), *,
+              time_cap: float = DEFAULT_TIME_CAP,
+              reach_window: int | None = None,
+              site_cap: int = DEFAULT_SITE_CAP,
+              coupled: bool = True) -> list:
+    """`run_fire` on each noise field of the sequence `noises` (all of
+    `config`): one FireTrace per replication, in order, or the CapExceeded
+    its run raised.
+
+    Lattice replications run in lockstep, in blocks of at most
+    _CELLS // window rows: each step ignites every live row, scans and burns
+    them together and drops the rows that finished.  Each row gets the
+    floats of its run alone.  The continuous state has no lockstep form, so
+    continuous replications are `run_fire` calls, one by one.
+    """
+    kwargs = dict(time_cap=time_cap, reach_window=reach_window, site_cap=site_cap)
+    if config.space == "continuous":
+        out = []
+        for noise in noises:
+            try:
+                out.append(run_fire(noise, config, targets, **kwargs))
+            except CapExceeded as exc:
+                out.append(exc)
+        return out
+    targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
+    block = max(1, _CELLS // cap)
+    kind = _Lattice if coupled else _Memoryless
+    return [res for lo in range(0, len(noises), block)
+            for res in _run_rows(kind(noises[lo:lo + block], config.r, cap, 0.0),
+                                 targets, time_cap, reach_window, cap)]
 
 
 def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -183,15 +184,14 @@ class NoiseField:
         unit-rate exponentials -- and adds the exponentials with counters
         count[i], count[i] + 1, ... in sequence, so a site's arrival times
         are the same floats however its reads are split into blocks or
-        stacked with other rows.  Scalars broadcast over the rows.  This is
-        the only code that forms arrival sums.
+        stacked with other rows.  Every argument is a 1-D array of one
+        entry per row, or of one entry for all rows.  This is the only code
+        that forms arrival sums.
         """
-        def col(a):
-            return np.asarray(a).reshape(-1, 1)
-
-        e = rng.counter_exponential(col(seed), col(stream), col(count) + np.arange(width))
-        sums = np.cumsum(np.column_stack([unit, e]), axis=1)[:, 1:]
-        return sums, sums / col(lam)
+        e = rng.counter_exponential(seed[:, None], stream[:, None],
+                                    count[:, None] + np.arange(width))
+        sums = np.cumsum(np.concatenate([unit[:, None], e], axis=1), axis=1)[:, 1:]
+        return sums, sums / lam[:, None]
 
     def advance(self, stream, lam, unit, count, t, seed=None):
         """Move each site to its first arrival strictly after t[i].
@@ -213,16 +213,17 @@ class NoiseField:
         time = unit / lam
         todo = np.flatnonzero((count == 0) | (time <= t))
         while len(todo):
+            at = slice(None) if len(todo) == n else todo   # views when all move
             # enough steps for most sites to pass t, within a bounded block
-            need = max(float(np.max(lam[todo] * (t[todo] - time[todo]))), 0.0)
-            width = max(1, min(int(need + 2 * np.sqrt(need)) + 1, _BLOCK // len(todo)))
-            sums, times = self._arrival_block(stream[todo], lam[todo], unit[todo],
-                                              count[todo], width, seed[todo])
-            past = times > t[todo, None]
+            need = max(float(np.max(lam[at] * (t[at] - time[at]))), 0.0)
+            width = max(1, min(int(need + 2 * math.sqrt(need)) + 1, _BLOCK // len(todo)))
+            sums, times = self._arrival_block(stream[at], lam[at], unit[at], count[at],
+                                              width, seed[at])
+            past = times > t[at, None]
             k = np.where(past.any(axis=1), past.argmax(axis=1), width - 1)
             rows = np.arange(len(todo))
-            unit[todo], time[todo] = sums[rows, k], times[rows, k]
-            count[todo] += k + 1
+            unit[at], time[at] = sums[rows, k], times[rows, k]
+            count[at] += k + 1
             todo = todo[time[todo] <= t[todo]]
         return unit, count, time
 
@@ -237,10 +238,11 @@ class NoiseField:
     def arrivals_after(self, x: int, t: float):
         """Arrival times of site x strictly after t, in order: an unbounded
         iterator that reads the stream in blocks as it is consumed."""
-        lam, stream = self.config.profile.rates(x, x + 1), rng.site_stream(x)
-        unit, count = np.zeros(1), 0
+        lam, stream = self.config.profile.rates(x, x + 1), rng.site_stream(np.array([x]))
+        seed = np.array([self.master_seed], dtype=np.uint64)
+        unit, count = np.zeros(1), np.zeros(1, dtype=np.int64)
         while True:
-            sums, times = self._arrival_block(stream, lam, unit, count, 64, self.master_seed)
+            sums, times = self._arrival_block(stream, lam, unit, count, 64, seed)
             yield from times[0][times[0] > t].tolist()
             unit, count = sums[:, -1], count + 64
 

@@ -116,7 +116,7 @@ class _Lattice:
     """Lazy states of R replications of the lattice fire process, started
     all-vacant at t0 and stepped in lockstep.
 
-    Row i runs on noise[i]'s master seed.  The state of site x in a row is
+    Row i runs on noises[i]'s master seed.  The state of site x in a row is
     its next arrival after its last burn (after t0 if never burnt), so x is
     occupied at t iff that arrival is <= t, together with its cursor, its
     place in its noise stream: here the unit-time sum of its arrivals so
@@ -128,13 +128,13 @@ class _Lattice:
     index), so a row equals its run alone.
     """
 
-    def __init__(self, noise: list[NoiseField], r: int, cap: int, t0: float):
-        self.noise, self.r, self.cap, self.t0 = noise[0], r, cap, t0
-        self.seed = np.array([n.master_seed for n in noise], dtype=np.uint64)
+    def __init__(self, noises: list[NoiseField], r: int, cap: int, t0: float):
+        self.noise, self.r, self.cap, self.t0 = noises[0], r, cap, t0
+        self.seed = np.array([noise.master_seed for noise in noises], dtype=np.uint64)
         self.lam, self.stream, *self.cursor, self.time = self._vacant(0, min(64, cap))
         # site 0's arrivals: the current block of 64 per row and its last unit sum
-        self.steps, self.ignitions = 0, np.empty((len(noise), 64))
-        self.ignition_unit = np.zeros(len(noise))
+        self.steps, self.ignitions = 0, np.empty((len(noises), 64))
+        self.ignition_unit = np.zeros(len(noises))
 
     @property
     def rows(self) -> int:
@@ -197,8 +197,8 @@ class _Lattice:
         j = self.steps % 64
         if j == 0:
             sums, self.ignitions = self.noise._arrival_block(
-                rng.site_stream(np.zeros(1, dtype=np.int64)), self.lam[:1], self.ignition_unit,
-                np.array([self.steps]), 64, self.seed)
+                self.seed, rng.site_stream(np.zeros(1, dtype=np.int64)), self.lam[:1],
+                self.ignition_unit, np.array([self.steps]), 64)
             self.ignition_unit = sums[:, -1]
         self.steps += 1
         return self.ignitions[:, j]

@@ -176,7 +176,7 @@ class NoiseField:
         self._cells: dict[tuple[int, int], np.ndarray] = {}
 
     # ----- discrete -------------------------------------------------------
-    def _arrival_block(self, stream, lam, unit, count, width: int, seed):
+    def _arrival_block(self, seed, stream, lam, unit, count, width: int):
         """Unit sums and times of the next `width` arrivals of each site.
 
         Row i reads the stream stream[i] of master seed seed[i] from the
@@ -217,8 +217,8 @@ class NoiseField:
             # enough steps for most sites to pass t, within a bounded block
             need = max(float(np.max(lam[at] * (t[at] - time[at]))), 0.0)
             width = max(1, min(int(need + 2 * math.sqrt(need)) + 1, _BLOCK // len(todo)))
-            sums, times = self._arrival_block(stream[at], lam[at], unit[at], count[at],
-                                              width, seed[at])
+            sums, times = self._arrival_block(seed[at], stream[at], lam[at], unit[at],
+                                              count[at], width)
             past = times > t[at, None]
             k = np.where(past.any(axis=1), past.argmax(axis=1), width - 1)
             rows = np.arange(len(todo))
@@ -242,7 +242,7 @@ class NoiseField:
         seed = np.array([self.master_seed], dtype=np.uint64)
         unit, count = np.zeros(1), np.zeros(1, dtype=np.int64)
         while True:
-            sums, times = self._arrival_block(stream, lam, unit, count, 64, seed)
+            sums, times = self._arrival_block(seed, stream, lam, unit, count, 64)
             yield from times[0][times[0] > t].tolist()
             unit, count = sums[:, -1], count + 64
 

@@ -215,16 +215,18 @@ class _Lattice:
         cap, r = self.cap, self.r
         m = min(64, cap)
         j0 = _first_runs(self.time[:, 1:m] > t[:, None], r)
-        todo = np.flatnonzero(j0 < 0)
-        while len(todo) and m < cap:
-            m = min(2 * m, cap)
-            if m > self.time.shape[1]:
-                self._grow(m)
-            j0[todo] = _first_runs(self.time[todo, 1:m] > t[todo, None], r)
-            todo = todo[j0[todo] < 0]
         censored = j0 < 0
-        reach = np.where(censored, cap, j0 + r - 1)
-        last = np.minimum(reach, cap - 1)
+        if censored.any():
+            todo = np.flatnonzero(censored)
+            while len(todo) and m < cap:
+                m = min(2 * m, cap)
+                if m > self.time.shape[1]:
+                    self._grow(m)
+                j0[todo] = _first_runs(self.time[todo, 1:m] > t[todo, None], r)
+                todo = todo[j0[todo] < 0]
+            censored = j0 < 0
+        last = np.where(censored, cap - 1, j0 + (r - 1))   # the last site burnt
+        reach = last + censored
         width = int(last.max())
         burnt = self.time[:, 1:width + 1] <= t[:, None]
         if last.min() < width:

@@ -287,7 +287,7 @@ class _OneRow:
         return np.array([next(self.times, np.inf)])
 
     def burn(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        reach, censored = self.state.burn(float(t[0]))
+        reach, censored = self.state.burn(t.item())
         return np.array([reach]), np.array([censored])
 
     def keep(self, rows: np.ndarray) -> None:
@@ -326,21 +326,21 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
     live = list(range(len(traces)))    # the trace index of each state row
     while live:
         t = state.ignite()
-        on = t <= time_cap
-        if not on.all():
+        if t.max() > time_cap:
+            on = t <= time_cap
             for i in np.flatnonzero(~on):
                 traces[live[i]].complete = not unmet[live[i]]
             live, t = _keep(state, live, on), t[on]
             if not live:
                 break
         reach, censored = state.burn(t)
-        going = np.ones(len(live), dtype=bool)
+        done = []      # positions of the rows that finished at this step
         for i, (row, ti, ri, ci) in enumerate(zip(live, t.tolist(), reach.tolist(),
                                                   censored.tolist())):
             trace, todo = traces[row], unmet[row]
             if ci and reach_window is None and not (todo and ri >= todo[-1]):
                 traces[row] = CapExceeded(f"window cap {cap} exceeded")
-                going[i] = False
+                done.append(i)
                 continue
             trace.events.append(BurnEvent(ti, ri, ci))
             trace.censored = trace.censored or ci
@@ -349,8 +349,11 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
                 trace.records.append((ti, ri))
             while todo and todo[0] <= ri:
                 trace.tau[todo.pop(0)] = ti
-            going[i] = not (targets and not todo)
-        if not going.all():
+            if targets and not todo:
+                done.append(i)
+        if done:
+            going = np.ones(len(live), dtype=bool)
+            going[done] = False
             live = _keep(state, live, going)
     return traces
 
@@ -448,17 +451,18 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
     cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
 
     def burn(state, t):
-        reach, censored = state.burn(np.array([t]))
+        reach, censored = state.burn(t)
         return reach.item(), censored.item()
 
     fire = _Lattice([noise], config.r, cap, 0.0)
     blue = None   # blue coincides with fire on cycle 1
     records: list[RenewalRecord] = []
     prev_t = 0.0
-    while (t := fire.ignite().item()) <= time_cap:
+    while (t := fire.ignite())[0] <= time_cap:   # t: the one row's ignition
         rho_F, cens_F = burn(fire, t)
         rho_B, cens_B = burn(blue, t) if blue else (rho_F, cens_F)
         if rho_F >= n_k:
+            t = t.item()
             records.append(RenewalRecord(
                 i=len(records) + 1, tau_i=t - prev_t, rho_i=rho_B, rho_F_i=rho_F,
                 censored_B=cens_B, censored_F=cens_F))

@@ -203,9 +203,9 @@ class _Lattice:
         self.steps += 1
         return self.ignitions[:, j]
 
-    def burn(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Burn row i at its ignition time t[i]; returns (reach, censored)
-        per row.
+    def burn(self, t: np.ndarray) -> tuple[list, list]:
+        """Burn row i at its ignition time t[i]; returns the lists (reach,
+        censored) of the rows.
 
         A scan that finds no vacant run among sites 1..cap-1 burns [0, cap)
         and reports reach `cap`, censored.  Only the burnt, occupied sites
@@ -233,7 +233,7 @@ class _Lattice:
             burnt &= np.arange(1, width + 1) <= last[:, None]
         if width:
             self._vacate(burnt, t)
-        return reach, censored
+        return reach.tolist(), censored.tolist()
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where the mask `rows` is True."""
@@ -286,9 +286,9 @@ class _OneRow:
     def ignite(self) -> np.ndarray:
         return np.array([next(self.times, np.inf)])
 
-    def burn(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def burn(self, t: np.ndarray) -> tuple[list, list]:
         reach, censored = self.state.burn(t.item())
-        return np.array([reach]), np.array([censored])
+        return [reach], [censored]
 
     def keep(self, rows: np.ndarray) -> None:
         pass
@@ -326,17 +326,19 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
     live = list(range(len(traces)))    # the trace index of each state row
     while live:
         t = state.ignite()
-        if t.max() > time_cap:
-            on = t <= time_cap
-            for i in np.flatnonzero(~on):
-                traces[live[i]].complete = not unmet[live[i]]
-            live, t = _keep(state, live, on), t[on]
-            if not live:
+        ts = t.tolist()
+        if max(ts) > time_cap:
+            for row, ti in zip(live, ts):
+                if ti > time_cap:
+                    traces[row].complete = not unmet[row]
+            if min(ts) > time_cap:
                 break
+            on = t <= time_cap
+            live, t = _keep(state, live, on), t[on]
+            ts = t.tolist()
         reach, censored = state.burn(t)
         done = []      # positions of the rows that finished at this step
-        for i, (row, ti, ri, ci) in enumerate(zip(live, t.tolist(), reach.tolist(),
-                                                  censored.tolist())):
+        for i, (row, ti, ri, ci) in enumerate(zip(live, ts, reach, censored)):
             trace, todo = traces[row], unmet[row]
             if ci and reach_window is None and not (todo and ri >= todo[-1]):
                 traces[row] = CapExceeded(f"window cap {cap} exceeded")
@@ -351,6 +353,8 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
                 trace.tau[todo.pop(0)] = ti
             if targets and not todo:
                 done.append(i)
+        if len(done) == len(live):
+            break
         if done:
             going = np.ones(len(live), dtype=bool)
             going[done] = False
@@ -451,8 +455,8 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
     cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
 
     def burn(state, t):
-        reach, censored = state.burn(t)
-        return reach.item(), censored.item()
+        (reach,), (censored,) = state.burn(t)
+        return reach, censored
 
     fire = _Lattice([noise], config.r, cap, 0.0)
     blue = None   # blue coincides with fire on cycle 1

@@ -276,7 +276,8 @@ class _Memoryless(_Lattice):
 
 class _OneRow:
     """The continuous state, `green._Continuum`, as a one-row state of the
-    lockstep step interface; once its ignitions run out, the next is inf."""
+    lockstep step interface; once its ignitions run out, the next is inf.
+    Its one row is never dropped: the loop ends when it finishes."""
 
     rows = 1
 
@@ -289,9 +290,6 @@ class _OneRow:
     def burn(self, t: np.ndarray) -> tuple[list, list]:
         reach, censored = self.state.burn(t.item())
         return [reach], [censored]
-
-    def keep(self, rows: np.ndarray) -> None:
-        pass
 
 
 def _window(config: ModelConfig, targets, reach_window, site_cap):
@@ -319,7 +317,8 @@ def _keep(state, live: list, keep: np.ndarray) -> list:
 def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
     """Step every row of `state` through its ignitions up to time_cap until
     its targets are burnt; one FireTrace per row, or the CapExceeded that
-    ended it.  Rows that finish are dropped from the state."""
+    ended it.  Rows that finish are dropped from the state while others
+    go on; the loop ends when all have finished."""
     traces: list = [FireTrace() for _ in range(state.rows)]
     unmet = [list(targets) for _ in traces]
     u_max = [0] * len(traces)

@@ -106,24 +106,32 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _number(value, where: str, *, least: float | None = None) -> float:
-    """`value` if it is a finite number > 0 (>= `least` when given);
-    ConfigError otherwise."""
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and (value > 0 if least is None else value >= least))
+def _number(value, where: str, *, least: float | None = None,
+            most: float = math.inf) -> float:
+    """`value` if it is a finite number > 0 (>= `least` when given) and
+    <= `most`; ConfigError otherwise."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value) and value <= most
+              and (value > 0 if least is None else value >= least))
+    except OverflowError:   # an int too large for a float
+        ok = False
     if not ok:
         bound = "> 0" if least is None else f">= {least}"
+        if most < math.inf:
+            bound += f" and <= {most}"
         raise ConfigError(f"{where} must be a finite number {bound}; got {value!r}")
     return value
 
 
 def _targets(model: ModelConfig, values, where: str) -> list:
     """A non-empty list of targets: numbers >= 1 on the lattice, > 0 on
-    the continuous model."""
+    the continuous model, and within the site cap on both."""
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where} must be a non-empty list")
     least = 1 if model.space == "discrete" else None
-    return [_number(v, f"each entry of {where}", least=least) for v in values]
+    return [_number(v, f"each entry of {where}", least=least, most=fire.DEFAULT_SITE_CAP)
+            for v in values]
 
 
 def _time_cap(section: dict, where: str) -> float:

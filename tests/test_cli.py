@@ -96,10 +96,15 @@ def test_run_determinism_across_workers(tmp_path):
     ({}, "sweep", {"x_grid": [16, None]}),
     ({"space": "continuous"}, "sweep", {"x_grid": [2.0, 0.0]}),
     ({}, "sweep", {"x_grid": [16], "time_cap": 0.0}),
+    ({}, "run", {"targets": [10 ** 400]}),
+    ({}, "run", {"targets": [8], "time_cap": 10 ** 400}),
+    ({}, "run", {"targets": [2 ** 64]}),
+    ({}, "sweep", {"x_grid": [16, 1e19]}),
 ], ids=["run-zero", "run-fraction-below-1", "run-string", "run-bool", "run-not-a-list",
         "run-continuous-zero", "run-continuous-negative", "run-time-cap-zero",
         "run-time-cap-negative", "run-time-cap-string", "sweep-zero", "sweep-null",
-        "sweep-continuous-zero", "sweep-time-cap-zero"])
+        "sweep-continuous-zero", "sweep-time-cap-zero", "run-int-beyond-float",
+        "run-time-cap-int-beyond-float", "run-above-site-cap", "sweep-above-site-cap"])
 def test_bad_targets_and_time_cap_exit_2(tmp_path, capsys, model, section, bad):
     cfg = write_cfg(tmp_path, "c.json", {"model": model, "reps": 4, section: bad})
     assert cli.main([section, "--config", cfg, "--workers", "1"]) == 2

@@ -179,7 +179,17 @@ def _header(cfg: dict, seed: int, extra: list[str] = ()) -> list[str]:
 # replication workers (module level: must be picklable)
 # ---------------------------------------------------------------------------
 
-_REP_BLOCK = 32   # replications per `run` job, whatever the worker count
+_REP_BLOCK = 32   # most lattice replications one `run` job steps in lockstep
+
+
+def _rep_blocks(model: ModelConfig, reps: int, workers: int) -> list[range]:
+    """The replication indices of `run`'s jobs, in order: one replication a
+    job on the continuous model, which has no lockstep form; on the lattice
+    blocks of at most _REP_BLOCK, small enough that every worker gets one.
+    Each replication has the floats of its run alone, so the blocks do not
+    change the output."""
+    block = 1 if model.space == "continuous" else min(_REP_BLOCK, -(-reps // max(1, workers)))
+    return [range(lo, min(lo + block, reps)) for lo in range(0, reps, block)]
 
 
 def _tau_block(args):
@@ -211,11 +221,8 @@ def cmd_run(cfg: dict, args) -> int:
     rows = []
     any_censoring = False
     for target in targets:
-        # fixed blocks of replication indices, joined in index order: the
-        # output does not depend on the worker count
-        jobs = [(model, target, [replication_seed(seed, i)
-                                 for i in range(lo, min(lo + _REP_BLOCK, reps))], time_cap)
-                for lo in range(0, reps, _REP_BLOCK)]
+        jobs = [(model, target, [replication_seed(seed, i) for i in block], time_cap)
+                for block in _rep_blocks(model, reps, args.workers)]
         vals = np.concatenate(_pmap(_tau_block, jobs, args.workers))
         good = vals[~np.isnan(vals)]
         censored = int(np.isnan(vals).sum())

@@ -81,6 +81,19 @@ def test_run_determinism_across_workers(tmp_path):
     assert digests == {(RUN_CSV_SHA, RUN_TRACE_SHA)}
 
 
+@pytest.mark.parametrize("space,reps,workers,sizes", [
+    ("discrete", 100, 1, [32, 32, 32, 4]),
+    ("discrete", 100, 8, [13] * 7 + [9]),
+    ("discrete", 5, 8, [1] * 5),
+    ("continuous", 5, 1, [1] * 5),
+])
+def test_run_jobs_cover_the_replications_in_order(space, reps, workers, sizes):
+    model = cli._build_model({"space": space})
+    blocks = cli._rep_blocks(model, reps, workers)
+    assert [len(b) for b in blocks] == sizes
+    assert [i for b in blocks for i in b] == list(range(reps))
+
+
 @pytest.mark.parametrize("model,section,bad", [
     ({}, "run", {"targets": [0]}),
     ({}, "run", {"targets": [8, 0.5]}),

@@ -361,6 +361,15 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
     return traces
 
 
+def _targets_and_window(config: ModelConfig, targets, reach_window, site_cap):
+    """The sorted, checked targets and the scan cap of a run."""
+    continuous = config.space == "continuous"
+    targets = sorted({float(x) for x in targets} if continuous else set(targets))
+    if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
+        raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
+    return targets, _window(config, targets, reach_window, site_cap)
+
+
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
              time_cap: float = DEFAULT_TIME_CAP,
              reach_window: int | None = None,
@@ -379,10 +388,16 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     from about a tenth of the draws, but not a function of the site
     streams the green readers read, so for distributional estimates only.
     The continuous state reads each cell once either way, so there the
-    switch changes nothing.  This is `run_fires` on one replication.
+    switch changes nothing.  On the lattice this is `run_fires` on one
+    replication.
     """
-    (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
-                         reach_window=reach_window, site_cap=site_cap, coupled=coupled)
+    if config.space == "continuous":
+        targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
+        (trace,) = _run_rows(_OneRow(_Continuum(noise, config, cap, time_cap)),
+                             targets, time_cap, reach_window, cap)
+    else:
+        (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
+                             reach_window=reach_window, site_cap=site_cap, coupled=coupled)
     if isinstance(trace, CapExceeded):
         raise trace
     return trace
@@ -401,22 +416,24 @@ def run_fires(noises, config: ModelConfig, targets=(), *,
     _CELLS // window rows: each step ignites every live row, scans and burns
     them together and drops the rows that finished.  Each row gets the
     floats of its run alone.  The continuous state has no lockstep form, so
-    each continuous replication is a one-row state of its own.
+    each continuous replication is one `run_fire` call, the unit in which
+    perfbench's tracer counts runs, burn events and failures.
     """
-    continuous = config.space == "continuous"
-    targets = sorted({float(x) for x in targets} if continuous else set(targets))
-    if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
-        raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
-    cap = _window(config, targets, reach_window, site_cap)
-    if continuous:
-        states = (_OneRow(_Continuum(noise, config, cap, time_cap)) for noise in noises)
-    else:
-        block = max(1, _CELLS // cap)
-        kind = _Lattice if coupled else _Memoryless
-        states = (kind(noises[lo:lo + block], config.r, cap, 0.0)
-                  for lo in range(0, len(noises), block))
-    return [res for state in states
-            for res in _run_rows(state, targets, time_cap, reach_window, cap)]
+    kwargs = dict(time_cap=time_cap, reach_window=reach_window, site_cap=site_cap)
+    if config.space == "continuous":
+        out = []
+        for noise in noises:
+            try:
+                out.append(run_fire(noise, config, targets, **kwargs))
+            except CapExceeded as exc:
+                out.append(exc)
+        return out
+    targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
+    block = max(1, _CELLS // cap)
+    kind = _Lattice if coupled else _Memoryless
+    return [res for lo in range(0, len(noises), block)
+            for res in _run_rows(kind(noises[lo:lo + block], config.r, cap, 0.0),
+                                 targets, time_cap, reach_window, cap)]
 
 
 def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,

@@ -24,9 +24,10 @@ all rows, advances the burnt, occupied sites of all rows in one draw and
 drops the rows that finished.  Every draw is a pure function of (row seed,
 site, draw index) and every arrival sum is formed along its own row, so a
 row's floats are those of its run alone.  `run_fires` runs a list of
-replications this way, in blocks of rows bounded by a cell budget;
-`run_fire` is the batch of one.  The continuous state, `green._Continuum`,
-has the same structure and runs as a one-row state through the same loop.
+lattice replications this way, in blocks of rows bounded by a cell
+budget, and a lattice `run_fire` is the batch of one.  The continuous
+state, `green._Continuum`, has the same structure and runs in `run_fire`
+as a one-row state through the same loop, one replication at a time.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on

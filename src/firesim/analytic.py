@@ -68,9 +68,58 @@ def sandwich_bounds(profile: RateProfile, r: int, n: int, t: float) -> tuple[flo
     return 1.0 - np.exp(-f / r), min(1.0, f)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """A root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    Raises ValueError when f(xa) and f(xb) have the same sign and
+    RuntimeError when `maxiter` iterations do not converge.
+    """
+    # A port of scipy/optimize/Zeros/brentq.c with the same float operations
+    # in the same order, so it returns the floats of scipy.optimize.brentq.
+    # As there, f sees Python floats and its values are read as floats.
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
 def t_star(profile: RateProfile, r: int, n: int, alpha_target: float) -> float:
-    """The unique t with f_n(t) = alpha_target; bisection on the monotone
-    bracket [0, log((n-r+1)/alpha)/(r c1)]."""
+    """The unique t with f_n(t) = alpha_target; Brent's method on the
+    monotone bracket [0, log((n-r+1)/alpha)/(r c1) + 1]."""
     if not 0 < alpha_target < 1:
         raise ValueError("alpha_target must lie in (0,1)")
     if n < r:
@@ -81,8 +130,7 @@ def t_star(profile: RateProfile, r: int, n: int, alpha_target: float) -> float:
     def g(t):
         return float(np.sum(np.exp(-sums * t))) - alpha_target
 
-    from scipy.optimize import brentq   # on use: it dominates import time
-    return float(brentq(g, 0.0, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
+    return _brentq(g, 0.0, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
 
 
 def schedule(profile: RateProfile, r: int, gamma: float, k_max: int,
@@ -223,8 +271,7 @@ def char_root(alpha: float, r: int) -> float:
     def g(xi):
         return xi ** r - np.sum((1 - alpha) * alpha ** (r - 1 - ks) * xi ** ks)
 
-    from scipy.optimize import brentq
-    return float(brentq(g, 1e-12, 1.0, xtol=1e-13, rtol=1e-15, maxiter=200))
+    return _brentq(g, 1e-12, 1.0, xtol=1e-13, rtol=1e-15, maxiter=200)
 
 
 def homog_threshold(n: float, r: int) -> float:

@@ -124,21 +124,35 @@ def _number(value, where: str, *, least: float | None = None,
     return value
 
 
+def _integer(value, where: str, least: int, most: float = math.inf) -> int:
+    """`value` if it is a JSON integer in [`least`, `most`]; ConfigError
+    otherwise."""
+    if type(value) is not int or not least <= value <= most:    # bool is not an int here
+        bound = f">= {least}" + (f" and <= {most}" if most < math.inf else "")
+        raise ConfigError(f"{where} must be an integer {bound}; got {value!r}")
+    return value
+
+
+def _numbers(values, where: str, **bounds) -> list:
+    """A non-empty list of numbers, each within `_number`'s `bounds`."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return [_number(v, f"each entry of {where}", **bounds) for v in values]
+
+
 def _targets(model: ModelConfig, values, where: str) -> list:
     """A non-empty list of targets: numbers >= 1 on the lattice, > 0 on
     the continuous model, and within the site cap on both."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where} must be a non-empty list")
     least = 1 if model.space == "discrete" else None
-    return [_number(v, f"each entry of {where}", least=least, most=fire.DEFAULT_SITE_CAP)
-            for v in values]
+    return _numbers(values, where, least=least, most=fire.DEFAULT_SITE_CAP)
 
 
 def _time_cap(section: dict, where: str) -> float:
     return float(_number(section.get("time_cap", fire.DEFAULT_TIME_CAP), f"{where}.time_cap"))
 
 
-def _require_gamma(gamma: float) -> float:
+def _gamma(section: dict, where: str) -> float:
+    gamma = float(_number(section.get("gamma", 1.5), f"{where}.gamma"))
     if not 1.0 < gamma < 2.0:
         raise ConfigError(f"gamma must satisfy gamma in (1,2); got {gamma}")
     return gamma
@@ -245,8 +259,8 @@ def cmd_run(cfg: dict, args) -> int:
 def cmd_schedule(cfg: dict, args) -> int:
     model = _build_model(cfg.get("model", {}))
     section = cfg.get("schedule", {})
-    gamma = _require_gamma(float(section.get("gamma", 1.5)))
-    k_max = int(section.get("k_max", 5))
+    gamma = _gamma(section, "schedule")
+    k_max = _integer(section.get("k_max", 5), "schedule.k_max", 1)
     status = 0
     try:
         entries = analytic.schedule(model.profile, model.r, gamma, k_max)
@@ -290,40 +304,34 @@ def cmd_validate(cfg: dict, args) -> int:
         raise ConfigError("suite 'continuous-moments' checks the unit model only: "
                           "intensity, connect_distance and ignite_distance must be 1")
     seed, reps = args.seed, args.reps
-    if suite == "prop1":
+    if suite in ("lemma1", "alpha_k", "growth"):
+        report = _ladder_suite(model, section, suite, seed, reps)
+    elif suite == "prop1":
         report = experiments.validate_prop1(
-            model, float(section.get("horizon", 5.0)), reps, seed,
-            targets=section.get("targets", (4, 16)))
+            model, float(_number(section.get("horizon", 5.0), "validate.horizon")),
+            reps, seed, targets=_targets(model, section.get("targets", [4, 16]),
+                                         "validate.targets"))
     elif suite == "thresholds":
+        epsilon = section.get("epsilon", 0.2)
+        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) \
+                or not 0 < epsilon < 1:
+            raise ConfigError(f"validate.epsilon must be a number in (0, 1); got {epsilon!r}")
         report = experiments.validate_thresholds(
-            model, int(section.get("n", 10_000)),
-            float(section.get("epsilon", 0.2)), reps, seed)
-    elif suite == "lemma1":
-        report = experiments.validate_lemma1(
-            model, _require_gamma(float(section.get("gamma", 1.5))),
-            int(section.get("k", 4)), int(section.get("cycles", 100)), seed)
-    elif suite == "alpha_k":
-        est = experiments.estimate_alpha_k(
-            model, _require_gamma(float(section.get("gamma", 1.5))),
-            int(section.get("k", 4)), reps, seed)
-        report = {"suite": "alpha_k", "alpha_hat": est.mean,
-                  "stderr": est.stderr, "reps": est.reps,
-                  "censored": est.censored}
-    elif suite == "growth":
-        report = experiments.estimate_growth(
-            model, _require_gamma(float(section.get("gamma", 1.5))),
-            int(section.get("k", 4)), reps, seed)
+            model, _integer(section.get("n", 10_000), "validate.n", 2),
+            float(epsilon), reps, seed)
     elif suite == "permutation":
-        x = int(section.get("x", 4))
+        x = _integer(section.get("x", 4), "validate.x", 1)
         perm = section.get("permutation")
-        if perm is None:
-            raise ConfigError("permutation suite requires validate.permutation")
+        if not (isinstance(perm, list) and len(perm) == x
+                and all(type(v) is int for v in perm) and sorted(perm) == list(range(1, x + 1))):
+            raise ConfigError(f"validate.permutation must order the sites 1..{x}; got {perm!r}")
         report = experiments.validate_permutation(model.profile, x, perm, reps, seed)
     elif suite == "oracles":
         report = experiments.validate_oracles()
     else:
         report = experiments.validate_continuous_moments(
-            section.get("t_values", (1.0, 2.0, 3.0)), reps, seed)
+            _numbers(section.get("t_values", [1.0, 2.0, 3.0]), "validate.t_values"),
+            reps, seed)
     doc = {"firesim": __version__, "config_hash": config_hash(cfg),
            "master_seed": seed, "report": report}
     body = json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
@@ -333,6 +341,26 @@ def cmd_validate(cfg: dict, args) -> int:
     else:
         sys.stdout.write(body)
     return 0 if report.get("pass", True) else 3
+
+
+def _ladder_suite(model: ModelConfig, section: dict, suite: str, seed: int,
+                  reps: int) -> dict:
+    """The report of lemma1, alpha_k or growth: the suites that run at
+    level k of the time ladder."""
+    gamma = _gamma(section, "validate")
+    k = _integer(section.get("k", 4), "validate.k", 1)
+    try:
+        if suite == "lemma1":
+            return experiments.validate_lemma1(
+                model, gamma, k, _integer(section.get("cycles", 100), "validate.cycles", 1),
+                seed)
+        if suite == "growth":
+            return experiments.estimate_growth(model, gamma, k, reps, seed)
+        est = experiments.estimate_alpha_k(model, gamma, k, reps, seed)
+    except OverflowError as exc:    # n_k passed the ladder's cap by level k + 1
+        raise ConfigError(f"validate.k = {k} is too large: {exc}") from exc
+    return {"suite": "alpha_k", "alpha_hat": est.mean, "stderr": est.stderr,
+            "reps": est.reps, "censored": est.censored}
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +387,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is None:
-            args.seed = int(cfg.get("seed", 0))
-        if args.reps is None:
-            args.reps = int(cfg.get("reps", 100))
-        if args.reps < 2:
-            raise ConfigError("reps must be >= 2")
+        args.seed = _integer(cfg.get("seed", 0) if args.seed is None else args.seed,
+                             "seed", 0, most=2 ** 64 - 1)
+        args.reps = _integer(cfg.get("reps", 100) if args.reps is None else args.reps,
+                             "reps", 2)
         handler = {"run": cmd_run, "validate": cmd_validate,
                    "schedule": cmd_schedule, "sweep": cmd_sweep}[args.command]
         return handler(cfg, args)

@@ -273,6 +273,8 @@ def validate_lemma1(config: ModelConfig, gamma: float, k: int,
     never exceeds the fire reach and that a non-record blue cycle
     (rho_i <= rho_{i-1}) forces exact agreement between the two.
     """
+    if cycles_total < 1:
+        raise ValueError("need cycles_total >= 1")
     entries = analytic.schedule(config.profile, config.r, gamma, k)
     n_k = entries[k - 1].n_k
     dom_viol = 0
@@ -371,6 +373,8 @@ def estimate_alpha_k(config: ModelConfig, gamma: float, k: int, reps: int,
                      master_seed: int) -> EstimatorResult:
     """Frequency of the arrival-gap obstruction event over two consecutive
     renewal cycles at ladder level k."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     entries = analytic.schedule(config.profile, config.r, gamma, k + 1)
     n_k, n_k1 = entries[k - 1].n_k, entries[k].n_k
     window = max(2 * n_k1 + config.r + 2, 4 * n_k)
@@ -402,6 +406,8 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
     E M, where M is the number of fires at n_k up to and including the one
     that first reaches n_{k+1}; E M = 1 + sum_i P(A_i) exactly.
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     entries = analytic.schedule(config.profile, config.r, gamma, k + 1)
     n_k, n_k1 = entries[k - 1].n_k, entries[k].n_k
     tau_k, tau_k1, M = [], [], []

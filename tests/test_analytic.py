@@ -95,6 +95,70 @@ def test_schedule_overflow_carries_built_levels():
 
 
 # ---------------------------------------------------------------------------
+# the Brent root finder behind t_star and char_root
+# ---------------------------------------------------------------------------
+
+def _explicit_profiles(count, seed=0):
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for _ in range(count):
+        c1 = rng.uniform(0.1, 1.0)
+        c2 = c1 * rng.uniform(1.0, 4.0)
+        profiles.append(RateProfile.explicit(tuple(rng.uniform(c1, c2, 5001)), c1, c2))
+    return profiles
+
+
+def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
+    """Every root t_star and char_root find equals scipy's brentq on the same
+    function, bracket and tolerances, float for float."""
+    from scipy.optimize import brentq
+    port = analytic._brentq
+    pairs = []
+
+    def both(f, xa, xb, xtol, rtol, maxiter):
+        ours = port(f, xa, xb, xtol, rtol, maxiter)
+        pairs.append((ours, brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+        return ours
+
+    monkeypatch.setattr(analytic, "_brentq", both)
+    profiles = [HOMOG, RateProfile.constant(0.37),
+                RateProfile.periodic((0.6, 1.4, 1.0), 0.6, 1.4),
+                RateProfile.iid_uniform(0.5, 1.5, seed=7), *_explicit_profiles(40)]
+    for prof in profiles:
+        for r in (1, 2, 3):
+            for n in sorted({r, r + 1, 2 * r + 3, 17, 100, 777, 5000}):
+                for alpha in (0.01, 0.1, 0.5, 0.9):
+                    analytic.t_star(prof, r, n, alpha)
+    for r in range(2, 9):
+        for alpha in np.linspace(0.01, 0.99, 60):
+            analytic.char_root(float(alpha), r)
+    assert len(pairs) == len(profiles) * 3 * 7 * 4 + 7 * 60
+    mismatches = [(ours, ref) for ours, ref in pairs if ours != ref]
+    assert not mismatches, mismatches[:5]
+
+
+def test_brentq_root_at_an_endpoint():
+    from scipy.optimize import brentq
+    for f, xa, xb in [(lambda x: x - 1.0, 1.0, 2.0), (lambda x: x - 2.0, 1.0, 2.0),
+                      (lambda x: 0.0, -1.0, 1.0)]:
+        ours = analytic._brentq(f, xa, xb, 1e-13, 1e-15, 200)
+        assert ours == brentq(f, xa, xb, xtol=1e-13, rtol=1e-15, maxiter=200)
+        assert ours in (xa, xb)
+
+
+def test_brentq_errors_match_scipy():
+    from scipy.optimize import brentq
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        analytic._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-15, 200)
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, xtol=1e-13, rtol=1e-15, maxiter=2)
+    with pytest.raises(RuntimeError, match="converge"):
+        analytic._brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, 1e-13, 1e-15, 2)
+
+
+# ---------------------------------------------------------------------------
 # p_n oracles
 # ---------------------------------------------------------------------------
 

@@ -228,6 +228,72 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_ladder_and_roots_load_no_scipy(tmp_path):
+    """Building the time ladder, t_star, char_root and CLI `schedule` import
+    no scipy module at all."""
+    cfg = write_cfg(tmp_path, "c.json", {"schedule": {"gamma": 1.5, "k_max": 3}})
+    code = (
+        "import sys\n"
+        "from firesim import analytic, cli\n"
+        "from firesim.model import RateProfile\n"
+        "one = RateProfile.constant(1.0)\n"
+        "analytic.schedule(one, 1, 1.5, 5)\n"
+        "analytic.t_star(one, 2, 100, 0.5)\n"
+        "analytic.char_root(0.3, 3)\n"
+        f"assert cli.main(['schedule', '--config', {cfg!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _validate(**section):
+    return {"validate": section}
+
+
+@pytest.mark.parametrize("command,cfg,flags", [
+    ("schedule", {"schedule": {"k_max": 0}}, []),
+    ("schedule", {"schedule": {"k_max": 2.5}}, []),
+    ("schedule", {"schedule": {"gamma": "abc"}}, []),
+    ("validate", _validate(suite="lemma1", k=0), []),
+    ("validate", _validate(suite="lemma1", k=2, cycles=0), []),
+    ("validate", _validate(suite="alpha_k", k=-1), []),
+    ("validate", _validate(suite="alpha_k", k=0), []),
+    ("validate", _validate(suite="growth", k=0), []),
+    ("validate", _validate(suite="growth", k=7), []),
+    ("validate", _validate(suite="growth", gamma="1.5"), []),
+    ("validate", _validate(suite="thresholds", n=0), []),
+    ("validate", _validate(suite="thresholds", n=100, epsilon=1.5), []),
+    ("validate", _validate(suite="thresholds", n=100, epsilon=0), []),
+    ("validate", _validate(suite="prop1", horizon=-1), []),
+    ("validate", _validate(suite="prop1", horizon="5"), []),
+    ("validate", _validate(suite="prop1", targets="ab"), []),
+    ("validate", _validate(suite="permutation", x=0, permutation=[]), []),
+    ("validate", _validate(suite="permutation", x=2, permutation=[1, 5]), []),
+    *(("validate", {"model": {"space": "continuous"},
+                    **_validate(suite="continuous-moments", t_values=t)}, [])
+      for t in ([0], [1.0, -2.0], [], "1.0")),
+    ("schedule", {"seed": -1}, []),
+    ("schedule", {"seed": "7"}, []),
+    ("schedule", {"seed": 2 ** 64}, []),
+    ("schedule", {}, ["--seed", "-1"]),
+    ("schedule", {"reps": "x"}, []),
+    ("schedule", {"reps": 1}, []),
+    ("schedule", {}, ["--reps", "1"]),
+], ids=["k-max-zero", "k-max-fraction", "gamma-string", "lemma1-k-zero", "lemma1-cycles-zero",
+        "alpha-k-negative", "alpha-k-zero", "growth-k-zero", "growth-k-past-the-cap",
+        "growth-gamma-string", "thresholds-n-zero", "thresholds-epsilon-above-1",
+        "thresholds-epsilon-zero", "prop1-horizon-negative", "prop1-horizon-string",
+        "prop1-targets-string", "permutation-x-zero", "permutation-not-of-1..x",
+        "t-values-zero", "t-values-negative", "t-values-empty", "t-values-string",
+        "seed-negative", "seed-string", "seed-beyond-64-bits", "seed-flag-negative",
+        "reps-string", "reps-one", "reps-flag-one"])
+def test_bad_numeric_values_exit_2(tmp_path, capsys, command, cfg, flags):
+    path = write_cfg(tmp_path, "c.json", {"reps": 4, **cfg})
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_validate_unknown_suite_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"validate": {"suite": "made-up"}})
     assert cli.main(["validate", "--config", cfg]) == 2

@@ -262,6 +262,18 @@ def test_validate_lemma1_small():
     assert rep["cycles_checked"] >= 60
 
 
+@pytest.mark.parametrize("call", [
+    lambda: experiments.estimate_growth(CFG1, 1.5, 0, 4, 8),
+    lambda: experiments.estimate_alpha_k(CFG1, 1.5, 0, 4, 8),
+    lambda: experiments.validate_lemma1(CFG1, 1.5, 2, 0, 6),
+], ids=["growth-k-zero", "alpha-k-zero", "lemma1-no-cycles"])
+def test_ladder_estimators_reject_level_zero_and_no_cycles(call):
+    """k = 0 would read the last ladder entry as n_k, and zero cycles would
+    pass lemma1 without checking anything."""
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_estimate_alpha_k_duration_zero_is_one():
     from firesim import fire
     from firesim.model import NoiseField

@@ -38,7 +38,6 @@ from .experiments import (
     estimate_alpha_k,
     estimate_growth,
     extract_weak_minima,
-    mc_estimate,
     scaling_study,
     validate_permutation,
     validate_prop1,

@@ -41,6 +41,7 @@ _SECTION_KEYS = {
 _SUITES = ("prop1", "thresholds", "lemma1", "alpha_k", "growth",
            "permutation", "oracles", "continuous-moments")
 _LATTICE_SUITES = {"thresholds", "lemma1", "alpha_k", "growth", "permutation"}
+_MOMENT_GAPS = 1 << 30   # most gaps continuous-moments draws at one t: reps * (e^t - 1)
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -320,6 +321,8 @@ def cmd_validate(cfg: dict, args) -> int:
             model, _integer(section.get("n", 10_000), "validate.n", 2),
             float(epsilon), reps, seed)
     elif suite == "permutation":
+        if model.r != 1:
+            raise ConfigError(f"suite 'permutation' checks r = 1 only; got model.r = {model.r}")
         x = _integer(section.get("x", 4), "validate.x", 1)
         perm = section.get("permutation")
         if not (isinstance(perm, list) and len(perm) == x
@@ -329,9 +332,10 @@ def cmd_validate(cfg: dict, args) -> int:
     elif suite == "oracles":
         report = experiments.validate_oracles()
     else:
-        report = experiments.validate_continuous_moments(
-            _numbers(section.get("t_values", [1.0, 2.0, 3.0]), "validate.t_values"),
-            reps, seed)
+        t_values = _numbers(section.get("t_values", [1.0, 2.0, 3.0]),
+                            f"validate.t_values (at most {_MOMENT_GAPS} gaps over {reps} reps)",
+                            most=math.log1p(_MOMENT_GAPS / reps))
+        report = experiments.validate_continuous_moments(t_values, reps, seed)
     doc = {"firesim": __version__, "config_hash": config_hash(cfg),
            "master_seed": seed, "report": report}
     body = json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,28 +74,6 @@ def first_burn_times(config: ModelConfig, seeds, x, **kwargs) -> list:
     noises = [NoiseField(seed, config) for seed in seeds]
     return [None if isinstance(res, CapExceeded) or not res.complete else res.tau[x]
             for res in fire.run_fires(noises, config, targets=[x], coupled=False, **kwargs)]
-
-
-def mc_estimate(quantity, reps: int, master_seed: int,
-                quantity_id: str = "") -> EstimatorResult:
-    """Mean/stderr of `quantity(seed)` over independent replications.
-
-    Replication i runs with the derived seed (master_seed, i); replications
-    raising CapExceeded are excluded from the mean and counted as censored.
-    """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    vals = []
-    censored = 0
-    for i in range(reps):
-        try:
-            vals.append(quantity(replication_seed(master_seed, i)))
-        except CapExceeded:
-            censored += 1
-    mean, stderr = _mean_and_stderr(vals)
-    return EstimatorResult(mean=mean, stderr=stderr, reps=len(vals),
-                           master_seed=master_seed, quantity_id=quantity_id,
-                           censored=censored)
 
 
 # ---------------------------------------------------------------------------

@@ -47,25 +47,31 @@ def first_vacant_run(vacant: np.ndarray, r: int) -> int:
     return int(idx) if runs[idx] == r else -1
 
 
-def reach_from_vacancy(vacant: np.ndarray, r: int, *, beyond_vacant: bool = True) -> int:
-    """Green reach for a vacancy pattern of sites 1, 2, ... (index 0 = site 1).
-
-    `beyond_vacant` treats sites past the end of the pattern as vacant,
-    which is the correct reading of a finite snapshot.
-    """
-    if beyond_vacant:
-        v = np.concatenate([np.asarray(vacant, dtype=bool), np.ones(r, dtype=bool)])
-    else:
-        v = np.asarray(vacant, dtype=bool)
-    j0 = first_vacant_run(v, r)
-    if j0 < 0:
-        return -1
-    return j0 + r - 1           # site index j = j0+1, reach = j + r - 2
-
-
 def reach_discrete(occupied: np.ndarray, r: int) -> int:
-    """Green reach from an occupancy pattern over sites 1..len(occupied)."""
-    return reach_from_vacancy(~np.asarray(occupied, dtype=bool), r)
+    """Green reach from an occupancy pattern over sites 1..len(occupied).
+
+    Sites past the end of the pattern are read as vacant, which is the
+    correct reading of a finite snapshot.
+    """
+    v = np.concatenate([~np.asarray(occupied, dtype=bool), np.ones(r, dtype=bool)])
+    return first_vacant_run(v, r) + r - 1     # site index j = j0+1, reach = j + r - 2
+
+
+def _first_run_reach(vacant, r: int, site_cap: int) -> int:
+    """Green reach from `vacant(lo, hi)`, the vacancy of sites lo..hi-1 as a
+    bool array, read in doubling blocks from 256 sites until the first
+    vacant run of length r appears."""
+    lo, size = 1, 256
+    carry = np.empty(0, dtype=bool)
+    while lo + size <= site_cap + 256:
+        v = np.concatenate([carry, vacant(lo, lo + size)])
+        j0 = first_vacant_run(v, r)
+        if j0 >= 0:
+            return (lo - len(carry)) + j0 + r - 2
+        carry = v[len(v) - (r - 1):]
+        lo += size
+        size *= 2
+    raise CapExceeded(f"no vacant run of length {r} within {site_cap} sites")
 
 
 def simulate_N_green(noise: NoiseField, config: ModelConfig, t: float,
@@ -73,20 +79,8 @@ def simulate_N_green(noise: NoiseField, config: ModelConfig, t: float,
     """Rightmost reachable point of the discrete green process at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    r = config.r
-    lo, size = 1, 256
-    carry = np.empty(0, dtype=bool)
-    while lo + size <= site_cap + 256:
-        vac = noise.next_arrivals_after(lo, lo + size, 0.0) > t
-        v = np.concatenate([carry, vac])
-        j0 = first_vacant_run(v, r)
-        if j0 >= 0:
-            first_site = (lo - len(carry)) + j0
-            return first_site + r - 2
-        carry = v[len(v) - (r - 1):] if r > 1 else np.empty(0, dtype=bool)
-        lo += size
-        size *= 2
-    raise CapExceeded(f"no vacant run of length {r} within {site_cap} sites")
+    return _first_run_reach(lambda lo, hi: noise.next_arrivals_after(lo, hi, 0.0) > t,
+                            config.r, site_cap)
 
 
 def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
@@ -239,19 +233,9 @@ def sample_green_reach(rng_: np.random.Generator, profile: RateProfile, r: int,
                        t: float, site_cap: int = DEFAULT_SITE_CAP) -> int:
     """One draw of the discrete N_green(t); first-arrival times are sampled
     per site in blocks until the first vacant run of length r appears."""
-    lo, size = 1, 256
-    carry = np.empty(0, dtype=bool)
-    while lo + size <= site_cap + 256:
-        lam = profile.rates(lo, lo + size)
-        vac = rng_.standard_exponential(size) / lam > t
-        v = np.concatenate([carry, vac])
-        j0 = first_vacant_run(v, r)
-        if j0 >= 0:
-            return (lo - len(carry)) + j0 + r - 2
-        carry = v[len(v) - (r - 1):] if r > 1 else np.empty(0, dtype=bool)
-        lo += size
-        size *= 2
-    raise CapExceeded("site cap exceeded in green sampler")
+    return _first_run_reach(
+        lambda lo, hi: rng_.standard_exponential(hi - lo) / profile.rates(lo, hi) > t,
+        r, site_cap)
 
 
 def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int,
@@ -269,19 +253,27 @@ def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int,
     p_stop = np.exp(-t * connect)
     m = rng_.geometric(p_stop, size=size) - 1          # number of gaps <= connect
     out = np.empty(size, dtype=float)
+
+    def gaps(n):    # n truncated Exp(t) on (0, connect], via inverse cdf
+        return -np.log1p(-rng_.random(n) * (1.0 - p_stop)) / t
+
     # chunk replications so the flattened gap array stays modest: each chunk
-    # takes the longest run of replications whose gaps fit the budget (at
-    # least one replication)
+    # takes the longest run of replications whose gaps fit the budget, or one
+    # replication drawn in pieces that fit it and summed in order, as bincount sums
+    piece = max(_GAP_BUDGET, 1)
     ends = np.cumsum(m)
     lo = 0
     while lo < size:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + _GAP_BUDGET, side="right")))
         total = int(ends[hi - 1]) - base
-        # truncated Exp(t) on (0, connect] via inverse cdf
-        u = rng_.random(total)
-        w = -np.log1p(-u * (1.0 - p_stop)) / t
-        seg = np.repeat(np.arange(hi - lo), m[lo:hi])
-        out[lo:hi] = np.bincount(seg, weights=w, minlength=hi - lo)
+        if total <= _GAP_BUDGET:
+            seg = np.repeat(np.arange(hi - lo), m[lo:hi])
+            out[lo:hi] = np.bincount(seg, weights=gaps(total), minlength=hi - lo)
+        else:
+            acc = np.zeros(1)
+            for k in range(0, total, piece):
+                acc = np.cumsum(np.concatenate([acc, gaps(min(piece, total - k))]))[-1:]
+            out[lo] = acc[0]
         lo = hi
     return out

@@ -8,9 +8,8 @@ pathwise coupling experiments possible.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -156,7 +155,7 @@ class NoiseField:
     exponentials divided by lambda_x, exponential k being counter k of the
     stream of (master_seed, x).  Nothing is stored: a reader keeps, per
     site, the current partial sum and the count of exponentials in it, and
-    `advance` moves those states forward; `arrivals_after` reads one site's
+    `advance` moves those states forward; `arrivals_before` reads one site's
     stream in order.  Scaling every rate by c > 0 divides every arrival
     time by c pathwise.  `vacancy_arrivals` draws from a second stream per
     site, one exponential per vacancy, for readers that need only the law.
@@ -165,15 +164,14 @@ class NoiseField:
 
     Continuous: a space-time Poisson point set of the configured intensity,
     generated per unit cell from (master_seed, cell), so window growth
-    never reshuffles previously exposed points.  `points_in` caches the
-    cells it reads and draws the ones not cached yet together, in one
-    block; `cells` draws a block of whole cells without caching them.
+    never reshuffles previously exposed points.  `cells` draws a block of
+    whole cells in one pass and `points_in` reads a rectangle through it;
+    nothing is cached.
     """
 
     def __init__(self, master_seed: int, config: ModelConfig):
         self.master_seed = int(master_seed)
         self.config = config
-        self._cells: dict[tuple[int, int], np.ndarray] = {}
 
     # ----- discrete -------------------------------------------------------
     def _arrival_block(self, seed, stream, lam, unit, count, width: int):
@@ -235,22 +233,20 @@ class NoiseField:
         seed = self.master_seed if seed is None else seed
         return t + rng.counter_exponential(seed, stream, k) / lam
 
-    def arrivals_after(self, x: int, t: float):
-        """Arrival times of site x strictly after t, in order: an unbounded
-        iterator that reads the stream in blocks as it is consumed."""
+    def arrivals_before(self, x: int, t: float) -> np.ndarray:
+        """All arrival times of site x in [0, t], strictly increasing: the
+        site's stream read in order, in blocks of 64 arrivals."""
+        if t < 0:
+            raise ValueError("t must be >= 0")
         lam, stream = self.config.profile.rates(x, x + 1), rng.site_stream(np.array([x]))
         seed = np.array([self.master_seed], dtype=np.uint64)
         unit, count = np.zeros(1), np.zeros(1, dtype=np.int64)
-        while True:
-            sums, times = self._arrival_block(seed, stream, lam, unit, count, 64)
-            yield from times[0][times[0] > t].tolist()
+        times = np.empty(0)
+        while not len(times) or times[-1] <= t:
+            sums, block = self._arrival_block(seed, stream, lam, unit, count, 64)
+            times = np.concatenate([times, block[0]])
             unit, count = sums[:, -1], count + 64
-
-    def arrivals_before(self, x: int, t: float) -> np.ndarray:
-        """All arrival times of site x in [0, t], strictly increasing."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        return np.array(list(itertools.takewhile(lambda a: a <= t, self.arrivals_after(x, 0.0))))
+        return times[times <= t]
 
     def next_arrivals_after(self, start: int, stop: int, t: float) -> np.ndarray:
         """First arrival strictly after t for each site in [start, stop).
@@ -300,13 +296,8 @@ class NoiseField:
             raise ValueError("need a <= b and s <= t")
         if a == b or s == t:
             return np.empty((0, 2))
-        keys = list(itertools.product(range(int(np.floor(a)), int(np.floor(b)) + 1),
-                                      range(int(np.floor(s)), int(np.floor(t)) + 1)))
-        missing = [key for key in keys if key not in self._cells]
-        if missing:
-            pts, n = self._draw_cells(np.array(missing, dtype=np.int64))
-            self._cells.update(zip(missing, np.split(pts, np.cumsum(n)[:-1])))
-        pts = np.concatenate([self._cells[key] for key in keys])
+        pts = self.cells(int(np.floor(a)), int(np.floor(b)) + 1,
+                         int(np.floor(s)), int(np.floor(t)) + 1)
         keep = (pts[:, 0] >= a) & (pts[:, 0] <= b) & (pts[:, 1] >= s) & (pts[:, 1] <= t)
         pts = pts[keep]
         return pts[np.lexsort((pts[:, 1], pts[:, 0]))]

@@ -270,9 +270,11 @@ def _validate(**section):
     ("validate", _validate(suite="prop1", targets="ab"), []),
     ("validate", _validate(suite="permutation", x=0, permutation=[]), []),
     ("validate", _validate(suite="permutation", x=2, permutation=[1, 5]), []),
+    ("validate", {"model": {"r": 3}, **_validate(suite="permutation", x=3,
+                                                 permutation=[3, 1, 2])}, []),
     *(("validate", {"model": {"space": "continuous"},
                     **_validate(suite="continuous-moments", t_values=t)}, [])
-      for t in ([0], [1.0, -2.0], [], "1.0")),
+      for t in ([0], [1.0, -2.0], [], "1.0", [1.0, 25.0])),
     ("schedule", {"seed": -1}, []),
     ("schedule", {"seed": "7"}, []),
     ("schedule", {"seed": 2 ** 64}, []),
@@ -285,7 +287,8 @@ def _validate(**section):
         "growth-gamma-string", "thresholds-n-zero", "thresholds-epsilon-above-1",
         "thresholds-epsilon-zero", "prop1-horizon-negative", "prop1-horizon-string",
         "prop1-targets-string", "permutation-x-zero", "permutation-not-of-1..x",
-        "t-values-zero", "t-values-negative", "t-values-empty", "t-values-string",
+        "permutation-r-3", "t-values-zero", "t-values-negative", "t-values-empty",
+        "t-values-string", "t-values-past-the-gap-budget",
         "seed-negative", "seed-string", "seed-beyond-64-bits", "seed-flag-negative",
         "reps-string", "reps-one", "reps-flag-one"])
 def test_bad_numeric_values_exit_2(tmp_path, capsys, command, cfg, flags):

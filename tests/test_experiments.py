@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from firesim import analytic, experiments, fire
-from firesim.model import CapExceeded, ModelConfig, RateProfile
-from firesim.rng import rep_rng
+from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
+from firesim.rng import rep_rng, replication_seed
 
 
 # ---------------------------------------------------------------------------
@@ -95,56 +95,47 @@ def test_nu_dominates_binomial():
 
 
 # ---------------------------------------------------------------------------
-# mc_estimate
+# first_burn_times and the mean/stderr summary
 # ---------------------------------------------------------------------------
 
-def test_mc_estimate_constant_sampler():
-    res = experiments.mc_estimate(lambda seed: 2.5, 10, 1, "const")
-    assert res.mean == 2.5
-    assert res.stderr == 0.0
-    assert res.censored == 0
+TAU_CFG = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
 
 
-def test_mc_estimate_deterministic():
-    def sampler(seed):
-        return rep_rng(seed, 0).random()
-    a = experiments.mc_estimate(sampler, 50, 9, "u")
-    b = experiments.mc_estimate(sampler, 50, 9, "u")
-    assert a == b
+def test_mean_and_stderr():
+    assert experiments._mean_and_stderr([2.5] * 10) == (2.5, 0.0)
+    mean, stderr = experiments._mean_and_stderr([1.0])
+    assert mean == 1.0 and math.isnan(stderr)
+    assert all(math.isnan(v) for v in experiments._mean_and_stderr([]))
 
 
-def test_mc_estimate_tau1_exponential():
-    from firesim import fire
-    from firesim.model import NoiseField
-    cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
+def test_first_burn_times_deterministic():
+    seeds = [replication_seed(9, i) for i in range(50)]
+    a = experiments.first_burn_times(TAU_CFG, seeds, 4)
+    assert a == experiments.first_burn_times(TAU_CFG, seeds, 4)
+    assert all(tau is not None and tau > 0 for tau in a)
 
-    def sampler(seed):
-        return fire.run_fire(NoiseField(seed, cfg), cfg, targets=[1]).tau[1]
 
+def test_first_burn_times_tau1_exponential():
     # site 1 first burns at the first ignition after its own first arrival,
     # so tau_1 = Exp(1) + Exp(1) by memorylessness and E tau_1 = 2
-    res = experiments.mc_estimate(sampler, 3000, 23, "tau_1")
-    assert abs(res.mean - 2.0) < 3 * res.stderr
+    taus = experiments.first_burn_times(TAU_CFG, [replication_seed(23, i) for i in range(3000)], 1)
+    mean, stderr = experiments._mean_and_stderr(taus)
+    assert abs(mean - 2.0) < 3 * stderr
 
 
-def test_mc_estimate_counts_censoring():
-    calls = {"n": 0}
-
-    def sampler(seed):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise CapExceeded("cap")
-        return 1.0
-
-    res = experiments.mc_estimate(sampler, 9, 0, "c")
-    assert res.censored == 3
-    assert res.reps == 6
-    assert res.mean == 1.0
-
-
-def test_mc_estimate_rejects_tiny_reps():
-    with pytest.raises(ValueError):
-        experiments.mc_estimate(lambda s: 0.0, 1, 0)
+def test_first_burn_times_marks_censoring():
+    """None exactly where the run alone stopped at the time cap before
+    burning x, or raised CapExceeded."""
+    seeds = [replication_seed(0, i) for i in range(30)]
+    taus = experiments.first_burn_times(TAU_CFG, seeds, 3, time_cap=3.0)
+    alone = [fire.run_fire(NoiseField(seed, TAU_CFG), TAU_CFG, targets=[3], time_cap=3.0,
+                           coupled=False) for seed in seeds]
+    assert taus == [run.tau[3] if run.complete else None for run in alone]
+    assert None in taus and any(tau is not None for tau in taus)
+    with pytest.raises(CapExceeded):
+        fire.run_fire(NoiseField(seeds[0], TAU_CFG), TAU_CFG, targets=[3], site_cap=2,
+                      coupled=False)
+    assert experiments.first_burn_times(TAU_CFG, seeds, 3, site_cap=2) == [None] * 30
 
 
 # ---------------------------------------------------------------------------

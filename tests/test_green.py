@@ -70,6 +70,23 @@ def test_simulate_matches_reach_rule_on_shared_noise():
                 green.reach_discrete(occ, 2)
 
 
+@pytest.mark.parametrize("r,times", [(2, (2.0, 3.5)), (3, (1.5, 2.5))], ids=["r2", "r3"])
+def test_simulate_matches_reach_rule_across_blocks(r, times):
+    """The doubling-block reader carries the last r - 1 sites of a block
+    into the next, so reaches past the first blocks (256, 768, ...) agree
+    with the rule applied to one long snapshot."""
+    cfg = ModelConfig(space="discrete", r=r,
+                      profile=RateProfile.periodic((0.8, 1.2), 0.8, 1.2))
+    reaches = []
+    for seed in range(10):
+        noise = NoiseField(replication_seed(5, seed), cfg)
+        first = noise.next_arrivals_after(1, 2 ** 16 + 1, 0.0)
+        for t in times:
+            reaches.append(green.simulate_N_green(noise, cfg, t))
+            assert reaches[-1] == green.reach_discrete(first <= t, r)
+    assert max(reaches) > 768
+
+
 def test_reach_monotone_in_time():
     cfg = ModelConfig(space="discrete", r=3, profile=RateProfile.constant(1.0))
     for seed in range(20):
@@ -121,6 +138,17 @@ def test_fast_sampler_matches_analytic_tail():
                      for i in range(reps)])
     p_hat = (vals >= 3).mean()
     assert abs(p_hat - 0.125) < 3.5 * math.sqrt(0.125 * 0.875 / reps)
+
+
+def test_fast_sampler_pinned_draws():
+    """Values recorded from the per-sampler block loop that the shared
+    reader replaced, on one Generator seed; reaches pass several blocks."""
+    prof = RateProfile.periodic((0.5, 1.0, 2.0), 0.5, 2.0)
+    pinned = {(2, 4.0): [621, 570, 294, 2544, 3195, 819, 1476, 1422],
+              (3, 2.0): [909, 3136, 730, 1781, 1147, 3269, 4297, 265]}
+    for (r, t), want in pinned.items():
+        rng_ = np.random.default_rng(2024)
+        assert [green.sample_green_reach(rng_, prof, r, t, 10**6) for _ in want] == want
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +278,26 @@ def test_continuous_sampler_chunks_match_loop(monkeypatch, budget):
         fast = green.sample_green_reach_cont(rep_rng(seed, 0), t, size)
         ref = _reach_cont_loop_reference(rep_rng(seed, 0), t, size, green._GAP_BUDGET)
         assert np.array_equal(fast, ref)
+
+
+def test_continuous_sampler_draws_within_budget(monkeypatch):
+    """A replication with more gaps than the budget (about e^8 at t = 8) is
+    drawn in pieces of at most the budget, with the floats of one draw."""
+    want = green.sample_green_reach_cont(rep_rng(8, 0), 8.0, 4)
+    monkeypatch.setattr(green, "_GAP_BUDGET", 500)
+    sizes = []
+
+    class Spy:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def geometric(self, p, size):
+            return self.gen.geometric(p, size=size)
+
+        def random(self, n):
+            sizes.append(n)
+            return self.gen.random(n)
+
+    got = green.sample_green_reach_cont(Spy(rep_rng(8, 0)), 8.0, 4)
+    assert max(sizes) <= 500 < sum(sizes)
+    assert np.array_equal(got, want)

@@ -228,7 +228,7 @@ def reference_points_in(seed, mean, a, b, s, t):
 @pytest.mark.parametrize("intensity", [0.3, 1.0, 2.5, 7.0])
 def test_points_in_matches_per_cell_reference(intensity):
     cfg = ModelConfig(space="continuous", r=1, intensity=intensity)
-    # the later rectangles overlap cells the earlier ones cached
+    # the later rectangles overlap cells the earlier ones read
     rects = [(0.0, 5.0, 0.0, 3.0), (2.5, 9.25, 1.5, 4.0), (0.0, 12.0, 0.0, 6.0),
              (3.0, 3.0, 0.0, 2.0), (7.75, 8.5, 5.5, 5.75), (0.0, 16.0, 2.0, 7.5)]
     for seed in (0, 3, rng.replication_seed(17, 2)):
@@ -236,6 +236,3 @@ def test_points_in_matches_per_cell_reference(intensity):
         for a, b, s, t in rects:
             got = noise.points_in(a, b, s, t)
             assert np.array_equal(got, reference_points_in(seed, intensity, a, b, s, t))
-        assert noise._cells
-        for (i, j), pts in noise._cells.items():
-            assert np.array_equal(pts, reference_cell(seed, i, j, intensity))

@@ -133,11 +133,13 @@ def t_star(profile: RateProfile, r: int, n: int, alpha_target: float) -> float:
     return _brentq(g, 0.0, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
 
 
-def schedule(profile: RateProfile, r: int, gamma: float, k_max: int,
-             n_cap: int = 4_000_000) -> list[ScheduleEntry]:
+_N_CAP = 4_000_000   # largest n_k the ladder builds
+
+
+def schedule(profile: RateProfile, r: int, gamma: float, k_max: int) -> list[ScheduleEntry]:
     """Ladder entries (k, gamma^k, n_k, T_k) for k = 1..k_max.
 
-    Raises OverflowError when n_k passes `n_cap`; the error's `entries`
+    Raises OverflowError when n_k passes `_N_CAP`; the error's `entries`
     attribute holds the levels built before it.
     """
     if not 1.0 < gamma < 2.0:
@@ -151,9 +153,9 @@ def schedule(profile: RateProfile, r: int, gamma: float, k_max: int,
         n = max(r, 2)
         while f_n(profile, r, n, t) < 0.5:
             n *= 2
-            if n > n_cap:
+            if n > _N_CAP:
                 err = OverflowError(
-                    f"n_k exceeds cap {n_cap} at level k={k}; lower k_max")
+                    f"n_k exceeds cap {_N_CAP} at level k={k}; lower k_max")
                 err.entries = entries       # the levels below k, for partial output
                 raise err
         terms = np.exp(-_window_rate_sums(profile, r, n) * t)

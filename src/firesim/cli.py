@@ -44,43 +44,43 @@ _LATTICE_SUITES = {"thresholds", "lemma1", "alpha_k", "growth", "permutation"}
 _MOMENT_GAPS = 1 << 30   # most gaps continuous-moments draws at one t: reps * (e^t - 1)
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
+def _check_keys(mapping, allowed: set, where: str) -> None:
+    """ConfigError unless `mapping` is an object of only `allowed` keys."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _build_profile(spec: dict) -> RateProfile:
-    _check_keys(spec, _PROFILE_KEYS, "model.profile")
+def _build_profile(spec) -> RateProfile:
+    where = "model.profile"
+    _check_keys(spec, _PROFILE_KEYS, where)
     kind = spec.get("kind", "constant")
+    if kind == "constant":
+        return RateProfile.constant(float(_number(spec.get("value", 1.0), f"{where}.value")))
+    if kind not in ("explicit", "periodic", "iid-uniform"):
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    c1, c2 = (float(_number(spec.get(key), f"{where}.{key}")) for key in ("c1", "c2"))
     try:
-        if kind == "constant":
-            return RateProfile.constant(float(spec.get("value", 1.0)))
-        if kind == "explicit":
-            return RateProfile.explicit(tuple(spec["values"]),
-                                        float(spec["c1"]), float(spec["c2"]))
-        if kind == "periodic":
-            return RateProfile.periodic(tuple(spec["values"]),
-                                        float(spec["c1"]), float(spec["c2"]))
         if kind == "iid-uniform":
-            return RateProfile.iid_uniform(float(spec["c1"]), float(spec["c2"]),
-                                           int(spec.get("seed", 0)))
-    except (KeyError, ValueError) as exc:
+            return RateProfile.iid_uniform(c1, c2, _integer(spec.get("seed", 0), f"{where}.seed",
+                                                            0, most=2 ** 64 - 1))
+        return RateProfile(kind, c1, c2, tuple(_numbers(spec.get("values"), f"{where}.values")))
+    except ValueError as exc:
         raise ConfigError(f"bad profile spec: {exc}") from exc
-    raise ConfigError(f"unknown profile kind {kind!r}")
 
 
-def _build_model(spec: dict) -> ModelConfig:
+def _build_model(spec) -> ModelConfig:
     _check_keys(spec, _MODEL_KEYS, "model")
-    kwargs = {}
+    kwargs = {key: float(_number(spec[key], f"model.{key}"))
+              for key in ("intensity", "connect_distance", "ignite_distance") if key in spec}
     if "profile" in spec:
         kwargs["profile"] = _build_profile(spec["profile"])
-    for key in ("intensity", "connect_distance", "ignite_distance"):
-        if key in spec:
-            kwargs[key] = float(spec[key])
     try:
         return ModelConfig(space=spec.get("space", "discrete"),
-                           r=int(spec.get("r", 1)), **kwargs)
+                           r=_integer(spec.get("r", 1), "model.r", 1, most=fire.DEFAULT_SITE_CAP),
+                           **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -91,13 +91,9 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     for section, allowed in _SECTION_KEYS.items():
         if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
             _check_keys(cfg[section], allowed, section)
     return cfg
 
@@ -259,6 +255,8 @@ def cmd_run(cfg: dict, args) -> int:
 
 def cmd_schedule(cfg: dict, args) -> int:
     model = _build_model(cfg.get("model", {}))
+    if model.space != "discrete":
+        raise ConfigError("schedule needs the discrete model")
     section = cfg.get("schedule", {})
     gamma = _gamma(section, "schedule")
     k_max = _integer(section.get("k_max", 5), "schedule.k_max", 1)

@@ -25,9 +25,11 @@ drops the rows that finished.  Every draw is a pure function of (row seed,
 site, draw index) and every arrival sum is formed along its own row, so a
 row's floats are those of its run alone.  `run_fires` runs a list of
 lattice replications this way, in blocks of rows bounded by a cell
-budget, and a lattice `run_fire` is the batch of one.  The continuous
-state, `green._Continuum`, has the same structure and runs in `run_fire`
-as a one-row state through the same loop, one replication at a time.
+budget, and a lattice `run_fire` is the batch of one; the renewal
+experiment runs the fire and blue processes as two rows of one state.
+The continuous state, `green._Continuum`, has the same structure and
+runs in `run_fire` as a one-row state through the same loop, one
+replication at a time.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on
@@ -39,7 +41,6 @@ extends.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,6 @@ class RenewalRecord:
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 16   # sites x rows a lattice state may hold: rows <= _CELLS // window
-_DRAW = 1 << 13    # burnt sites one draw takes, unless one row burns more
 
 
 def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
@@ -114,11 +114,12 @@ def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
 
 
 class _Lattice:
-    """Lazy states of R replications of the lattice fire process, started
-    all-vacant at t0 and stepped in lockstep.
+    """Lazy states of R replications of the lattice fire process, stepped
+    in lockstep.
 
-    Row i runs on noises[i]'s master seed.  The state of site x in a row is
-    its next arrival after its last burn (after t0 if never burnt), so x is
+    Row i runs on noises[i]'s master seed and starts all-vacant at its t0,
+    time 0 until `restart` sets it.  The state of site x in a row is its
+    next arrival after its last burn (after t0 if never burnt), so x is
     occupied at t iff that arrival is <= t, together with its cursor, its
     place in its noise stream: here the unit-time sum of its arrivals so
     far and their count.  Sites are materialised, for every row at once,
@@ -126,12 +127,14 @@ class _Lattice:
     stream ids are kept per site.  The ignitions are site 0's arrivals from
     time 0, read for all rows together in blocks of 64; site 0's own entry
     is never read.  Every row's floats are pure in (its seed, site, draw
-    index), so a row equals its run alone.
+    index), so a row equals its run alone.  `NoiseField.advance` bounds the
+    draws a step takes.
     """
 
-    def __init__(self, noises: list[NoiseField], r: int, cap: int, t0: float):
-        self.noise, self.r, self.cap, self.t0 = noises[0], r, cap, t0
+    def __init__(self, noises: list[NoiseField], r: int, cap: int):
+        self.noise, self.r, self.cap = noises[0], r, cap
         self.seed = np.array([noise.master_seed for noise in noises], dtype=np.uint64)
+        self.t0 = np.zeros(len(noises))
         self.lam, self.stream, *self.cursor, self.time = self._vacant(0, min(64, cap))
         # site 0's arrivals: the current block of 64 per row and its last unit sum
         self.steps, self.ignitions = 0, np.empty((len(noises), 64))
@@ -142,55 +145,41 @@ class _Lattice:
         return len(self.seed)
 
     def _vacant(self, lo: int, hi: int):
-        """(lam, stream, *cursor, time) of sites [lo, hi), all vacant at t0;
-        lam and stream per site, cursor and time per row and site."""
+        """(lam, stream, *cursor, time) of sites [lo, hi), vacant at each
+        row's t0; lam and stream per site, cursor and time per row and site."""
         lam = self.noise.config.profile.rates(lo, hi)
         stream = rng.site_stream(np.arange(lo, hi))
         shape = (self.rows, hi - lo)
         state = self.noise.advance(np.broadcast_to(stream, shape).ravel(),
-                                   np.broadcast_to(lam, shape).ravel(), 0.0, 0, self.t0,
+                                   np.broadcast_to(lam, shape).ravel(), 0.0, 0,
+                                   np.broadcast_to(self.t0[:, None], shape).ravel(),
                                    np.broadcast_to(self.seed[:, None], shape).ravel())
         return (lam, stream, *(a.reshape(shape) for a in state))
 
-    def _marked(self, rows: slice, burnt: np.ndarray, t: np.ndarray):
-        """Views of cursor and time over `rows` and sites 1..w, with the
-        stream id, rate, time and seed of each site that `burnt` (those
-        rows x sites 1..w) marks, in the mask's row-major order; t holds
-        the rows' times."""
+    def _marked(self, burnt: np.ndarray, t: np.ndarray):
+        """Views of cursor and time over sites 1..w, with the stream id,
+        rate, time and seed of each site that `burnt` (rows x sites 1..w)
+        marks, in the mask's row-major order; t holds the rows' times."""
         w = burnt.shape[1]
         row, site = np.divmod(np.flatnonzero(burnt), w)
         site += 1
-        return ([a[rows, 1:w + 1] for a in self.cursor], self.time[rows, 1:w + 1],
-                self.stream[site], self.lam[site], t[row], self.seed[rows][row])
+        return ([a[:, 1:w + 1] for a in self.cursor], self.time[:, 1:w + 1],
+                self.stream[site], self.lam[site], t[row], self.seed[row])
 
-    def _advance(self, rows: slice, burnt: np.ndarray, t: np.ndarray) -> None:
-        """Vacate the occupied sites that `burnt` (`rows` x sites 1..w)
-        marks, each at its row's time in t."""
-        (unit, count), time, stream, lam, t, seed = self._marked(rows, burnt, t)
+    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
+        """Vacate the occupied sites that `burnt` (rows x sites 1..w) marks,
+        each at its row's time in t."""
+        (unit, count), time, stream, lam, t, seed = self._marked(burnt, t)
         unit[burnt], count[burnt], time[burnt] = self.noise.advance(
             stream, lam, unit[burnt], count[burnt], t, seed)
 
-    def _vacate(self, burnt: np.ndarray, t: np.ndarray) -> None:
-        """`_advance` the sites `burnt` (rows x sites 1..w) marks, in groups
-        of rows that burn at most _DRAW sites or are one row, so that the
-        draws' temporaries stay bounded."""
-        group = max(1, _DRAW // burnt.shape[1])
-        for lo in range(0, len(t), group):
-            part = burnt[lo:lo + group]
-            if part.any():
-                self._advance(slice(lo, lo + group), part, t[lo:lo + group])
-
     def _grow(self, width: int) -> None:
-        """Materialise sites up to `width` in every row, drawing at most
-        _DRAW sites at once and copying one array at a time."""
-        step = max(1, _DRAW // self.rows)
-        lam, stream, *cursor, time = zip(*(self._vacant(lo, min(lo + step, width))
-                                           for lo in range(self.time.shape[1], width, step)))
-        self.lam = np.concatenate([self.lam, *lam])
-        self.stream = np.concatenate([self.stream, *stream])
-        self.cursor = [np.concatenate([old, *new], axis=1)
-                       for old, new in zip(self.cursor, cursor)]
-        self.time = np.concatenate([self.time, *time], axis=1)
+        """Materialise sites up to `width` in every row."""
+        lam, stream, *cursor, time = self._vacant(self.time.shape[1], width)
+        self.lam = np.concatenate([self.lam, lam])
+        self.stream = np.concatenate([self.stream, stream])
+        self.cursor = [np.concatenate(pair, axis=1) for pair in zip(self.cursor, cursor)]
+        self.time = np.concatenate([self.time, time], axis=1)
 
     def ignite(self) -> np.ndarray:
         """The next ignition time of every row: step s reads arrival s of
@@ -210,8 +199,7 @@ class _Lattice:
 
         A scan that finds no vacant run among sites 1..cap-1 burns [0, cap)
         and reports reach `cap`, censored.  Only the burnt, occupied sites
-        advance, all rows together in draws of at most _DRAW sites (or one
-        row).
+        advance, all rows together in one `NoiseField.advance` call.
         """
         cap, r = self.cap, self.r
         m = min(64, cap)
@@ -233,23 +221,25 @@ class _Lattice:
         if last.min() < width:
             burnt &= np.arange(1, width + 1) <= last[:, None]
         if width:
-            self._vacate(burnt, t)
+            self._advance(burnt, t)
         return reach.tolist(), censored.tolist()
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where the mask `rows` is True."""
-        self.seed, self.time = self.seed[rows], self.time[rows]
+        self.seed, self.t0, self.time = self.seed[rows], self.t0[rows], self.time[rows]
         self.cursor = [a[rows] for a in self.cursor]
         self.ignitions, self.ignition_unit = self.ignitions[rows], self.ignition_unit[rows]
 
-    def restart(self, t: float) -> "_Lattice":
-        """A copy of this state, restarted all-vacant at time t."""
-        other = copy.copy(self)
-        other.t0 = t
-        other.cursor = [a.copy() for a in self.cursor]
-        other.time = self.time.copy()
-        other._vacate(other.time[:, 1:] <= t, np.full(self.rows, t))
-        return other
+    def restart(self, row: int, t: float) -> None:
+        """Make `row` row 0 restarted all-vacant at time t: overwrite it with
+        row 0 and vacate its occupied sites at t.  Sites it materialises
+        later start vacant at t."""
+        for a in (*self.cursor, self.time):
+            a[row] = a[0]
+        self.t0[row] = t
+        burnt = np.zeros((self.rows, self.time.shape[1] - 1), dtype=bool)
+        burnt[row] = self.time[row, 1:] <= t
+        self._advance(burnt, np.full(self.rows, t))
 
 
 class _Memoryless(_Lattice):
@@ -266,10 +256,10 @@ class _Memoryless(_Lattice):
         stream = rng.vacancy_stream(np.arange(lo, hi))
         burns = np.zeros((self.rows, hi - lo), dtype=np.int32)
         return lam, stream, burns, self.noise.vacancy_arrivals(
-            stream, lam, 0, self.t0, self.seed[:, None])
+            stream, lam, 0, self.t0[:, None], self.seed[:, None])
 
-    def _advance(self, rows: slice, burnt: np.ndarray, t: np.ndarray) -> None:
-        (burns,), time, stream, lam, t, seed = self._marked(rows, burnt, t)
+    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
+        (burns,), time, stream, lam, t, seed = self._marked(burnt, t)
         k = burns[burnt] + 1
         burns[burnt] = k
         time[burnt] = self.noise.vacancy_arrivals(stream, lam, k, t, seed)
@@ -433,7 +423,7 @@ def run_fires(noises, config: ModelConfig, targets=(), *,
     block = max(1, _CELLS // cap)
     kind = _Lattice if coupled else _Memoryless
     return [res for lo in range(0, len(noises), block)
-            for res in _run_rows(kind(noises[lo:lo + block], config.r, cap, 0.0),
+            for res in _run_rows(kind(noises[lo:lo + block], config.r, cap),
                                  targets, time_cap, reach_window, cap)]
 
 
@@ -445,8 +435,9 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
 
     Runs the fire process, detecting the consecutive times it reaches n_k,
     and alongside it the blue process: the fire process restarted
-    all-vacant at the previous hit, on the same noise.  Returns one
-    RenewalRecord per hit.
+    all-vacant at the previous hit, on the same noise.  Fire and blue are
+    rows 0 and 1 of one lattice state, so one ignition and one burn serve
+    both.  Returns one RenewalRecord per hit.
     """
     if config.space == "continuous":
         raise NotImplementedError("blue experiment is defined for the lattice model")
@@ -456,25 +447,20 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
         reach_window = 64 * n_k
     cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
 
-    def burn(state, t):
-        (reach,), (censored,) = state.burn(t)
-        return reach, censored
-
-    fire = _Lattice([noise], config.r, cap, 0.0)
-    blue = None   # blue coincides with fire on cycle 1
+    state = _Lattice([noise, noise], config.r, cap)   # rows: fire, blue
     records: list[RenewalRecord] = []
     prev_t = 0.0
-    while (t := fire.ignite())[0] <= time_cap:   # t: the one row's ignition
-        rho_F, cens_F = burn(fire, t)
-        rho_B, cens_B = burn(blue, t) if blue else (rho_F, cens_F)
+    while (t := state.ignite())[0] <= time_cap:   # both rows ignite together
+        (rho_F, rho_B), (cens_F, cens_B) = state.burn(t)
         if rho_F >= n_k:
-            t = t.item()
+            t = t[0].item()
             records.append(RenewalRecord(
                 i=len(records) + 1, tau_i=t - prev_t, rho_i=rho_B, rho_F_i=rho_F,
                 censored_B=cens_B, censored_F=cens_F))
             if len(records) == cycles:
                 return records
-            prev_t, blue = t, fire.restart(t)
+            prev_t = t
+            state.restart(1, t)
     raise CapExceeded(f"only {len(records)} of {cycles} cycles before time cap {time_cap}")
 
 

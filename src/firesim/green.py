@@ -238,23 +238,19 @@ def sample_green_reach(rng_: np.random.Generator, profile: RateProfile, r: int,
         r, site_cap)
 
 
-def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int,
-                            connect: float = 1.0, ignite: float = 1.0) -> np.ndarray:
-    """Vectorized draws of the continuous N_green(t).
+def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int) -> np.ndarray:
+    """Vectorized draws of the continuous N_green(t) of the unit model.
 
     By time t the occupied points form a spatial Poisson process of rate t,
     so the gaps are iid Exp(t); the cluster is the run of gaps below the
-    connect distance (the first gap measured against the ignite distance).
-    Only the homogeneous default thresholds connect = ignite are supported
-    on this fast path.
+    connect distance 1 (the first gap measured against the ignite distance,
+    also 1).
     """
-    if connect != ignite:
-        raise ValueError("fast sampler requires connect == ignite")
-    p_stop = np.exp(-t * connect)
-    m = rng_.geometric(p_stop, size=size) - 1          # number of gaps <= connect
+    p_stop = np.exp(-t)
+    m = rng_.geometric(p_stop, size=size) - 1          # number of gaps <= 1
     out = np.empty(size, dtype=float)
 
-    def gaps(n):    # n truncated Exp(t) on (0, connect], via inverse cdf
+    def gaps(n):    # n truncated Exp(t) on (0, 1], via inverse cdf
         return -np.log1p(-rng_.random(n) * (1.0 - p_stop)) / t
 
     # chunk replications so the flattened gap array stays modest: each chunk

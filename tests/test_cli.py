@@ -282,6 +282,13 @@ def _validate(**section):
     ("schedule", {"reps": "x"}, []),
     ("schedule", {"reps": 1}, []),
     ("schedule", {}, ["--reps", "1"]),
+    *(("schedule", {"model": model}, []) for model in (
+        {"intensity": "abc"}, {"intensity": None}, {"connect_distance": "2"},
+        {"r": 2.7}, {"r": True}, {"r": 100_000_000_000}, [], {"profile": []},
+        {"profile": {"kind": "periodic", "values": [1.0], "c1": None, "c2": 1.0}},
+        {"profile": {"kind": "explicit", "values": [1, None, 1], "c1": 0.5, "c2": 2}},
+        {"profile": {"kind": "iid-uniform", "c1": 0.5, "c2": 1.5, "seed": 1.5}},
+        {"profile": {"value": "1.0"}}, {"space": "continuous"})),
 ], ids=["k-max-zero", "k-max-fraction", "gamma-string", "lemma1-k-zero", "lemma1-cycles-zero",
         "alpha-k-negative", "alpha-k-zero", "growth-k-zero", "growth-k-past-the-cap",
         "growth-gamma-string", "thresholds-n-zero", "thresholds-epsilon-above-1",
@@ -290,7 +297,10 @@ def _validate(**section):
         "permutation-r-3", "t-values-zero", "t-values-negative", "t-values-empty",
         "t-values-string", "t-values-past-the-gap-budget",
         "seed-negative", "seed-string", "seed-beyond-64-bits", "seed-flag-negative",
-        "reps-string", "reps-one", "reps-flag-one"])
+        "reps-string", "reps-one", "reps-flag-one", "intensity-string", "intensity-null",
+        "connect-distance-string", "r-fraction", "r-bool", "r-past-the-site-cap", "model-list",
+        "profile-list", "profile-c1-null", "profile-values-null", "profile-seed-fraction",
+        "profile-value-string", "schedule-continuous"])
 def test_bad_numeric_values_exit_2(tmp_path, capsys, command, cfg, flags):
     path = write_cfg(tmp_path, "c.json", {"reps": 4, **cfg})
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *flags]) == 2

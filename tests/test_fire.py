@@ -263,6 +263,33 @@ def test_blue_cycle_times_match_fire_hits():
     assert np.allclose(cum, hit_times)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_restart_row_equals_a_state_started_at_t(r):
+    """restart(1, t) on a two-row coupled state leaves row 0 alone and gives
+    row 1 the cursor and times of a one-row state started all-vacant at t,
+    at the same width and after both grow.  Site 0's entry is never read."""
+    cfg = ModelConfig(space="discrete", r=r,
+                      profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3))
+    noise = NoiseField(replication_seed(55, r), cfg)
+    state = fire._Lattice([noise, noise], r, 1024)
+    for _ in range(40):
+        t = state.ignite()
+        state.burn(t)
+    t = t[0].item()
+    row0 = [a[0].copy() for a in (*state.cursor, state.time)]
+    assert np.any(row0[-1][1:] <= t)      # the restart vacates occupied sites
+    state.restart(1, t)
+    assert all(np.array_equal(a[0], b) for a, b in zip((*state.cursor, state.time), row0))
+    fresh = fire._Lattice([noise], r, 1024)
+    fresh.t0[0] = t
+    fresh.lam, fresh.stream, *fresh.cursor, fresh.time = fresh._vacant(0, state.time.shape[1])
+    for width in (state.time.shape[1], 4 * state.time.shape[1]):
+        state._grow(width)
+        fresh._grow(width)
+        for a, b in zip((*state.cursor, state.time), (*fresh.cursor, fresh.time)):
+            assert np.array_equal(a[1, 1:], b[0, 1:])
+
+
 def test_blue_rejects_continuous():
     cfg = ModelConfig(space="continuous", r=1)
     with pytest.raises(NotImplementedError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from firesim import rng
+from firesim import model, rng
 from firesim.model import ModelConfig, NoiseField, RateProfile
 
 
@@ -152,6 +152,24 @@ def test_arrivals_are_sequential_partial_sums():
         assert list(noise.arrivals_before(x, 80.0)) == [a for a in ref if a <= 80.0]
         for t in (0.0, 3.0, 40.0):
             assert noise.next_arrivals_after(x, x + 1, t)[0] == next(a for a in ref if a > t)
+
+
+def test_block_size_never_changes_floats(monkeypatch):
+    """`advance` returns the same floats whatever `_BLOCK` splits its draws
+    into: about 2,000 sites of 3 seeds, advanced to t = 40."""
+    prof = RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3)
+    noise = NoiseField(5, ModelConfig(space="discrete", r=1, profile=prof))
+    sites = np.arange(1, 701)
+    stream, lam = np.tile(rng.site_stream(sites), 3), np.tile(prof.rates(1, 701), 3)
+    seed = np.repeat(np.array([5, 17, 2 ** 63 + 9], dtype=np.uint64), len(sites))
+
+    def advance():
+        return noise.advance(stream, lam, 0.0, 0, 40.0, seed)
+
+    default = advance()
+    monkeypatch.setattr(model, "_BLOCK", 64)
+    for a, b in zip(default, advance()):
+        assert np.array_equal(a, b)
 
 
 def test_exponential_first_arrival_distribution():

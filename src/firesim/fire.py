@@ -24,12 +24,13 @@ all rows, advances the burnt, occupied sites of all rows in one draw and
 drops the rows that finished.  Every draw is a pure function of (row seed,
 site, draw index) and every arrival sum is formed along its own row, so a
 row's floats are those of its run alone.  `run_fires` runs a list of
-lattice replications this way, in blocks of rows bounded by a cell
-budget, and a lattice `run_fire` is the batch of one; the renewal
-experiment runs the fire and blue processes as two rows of one state.
-The continuous state, `green._Continuum`, has the same structure and
-runs in `run_fire` as a one-row state through the same loop, one
-replication at a time.
+lattice replications this way, in blocks of rows bounded by a cell budget,
+and a lattice `run_fire` is the batch of one.  `run_blue_experiments` runs
+renewal replications so, each as a fire row and its blue twin (`_Paired`),
+and advances a site both burn at one ignition once; `run_blue_experiment`
+is its batch of one.  The continuous state, `green._Continuum`, has the
+same structure and runs in `run_fire` as a one-row state through the same
+loop, one replication at a time.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on
@@ -99,6 +100,7 @@ class RenewalRecord:
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 16   # sites x rows a lattice state may hold: rows <= _CELLS // window
+_PAIRS = 8         # most fire/blue pairs a paired state steps in lockstep
 
 
 def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
@@ -118,9 +120,9 @@ class _Lattice:
     in lockstep.
 
     Row i runs on noises[i]'s master seed and starts all-vacant at its t0,
-    time 0 until `restart` sets it.  The state of site x in a row is its
-    next arrival after its last burn (after t0 if never burnt), so x is
-    occupied at t iff that arrival is <= t, together with its cursor, its
+    time 0 unless `_Paired.restart` sets it.  The state of site x in a row
+    is its next arrival after its last burn (after t0 if never burnt), so x
+    is occupied at t iff that arrival is <= t, together with its cursor, its
     place in its noise stream: here the unit-time sum of its arrivals so
     far and their count.  Sites are materialised, for every row at once,
     in blocks only while the vacant-run scan needs more; their rates and
@@ -230,17 +232,6 @@ class _Lattice:
         self.cursor = [a[rows] for a in self.cursor]
         self.ignitions, self.ignition_unit = self.ignitions[rows], self.ignition_unit[rows]
 
-    def restart(self, row: int, t: float) -> None:
-        """Make `row` row 0 restarted all-vacant at time t: overwrite it with
-        row 0 and vacate its occupied sites at t.  Sites it materialises
-        later start vacant at t."""
-        for a in (*self.cursor, self.time):
-            a[row] = a[0]
-        self.t0[row] = t
-        burnt = np.zeros((self.rows, self.time.shape[1] - 1), dtype=bool)
-        burnt[row] = self.time[row, 1:] <= t
-        self._advance(burnt, np.full(self.rows, t))
-
 
 class _Memoryless(_Lattice):
     """The lattice state with the law of `_Lattice` but not its coupling.
@@ -263,6 +254,40 @@ class _Memoryless(_Lattice):
         k = burns[burnt] + 1
         burns[burnt] = k
         time[burnt] = self.noise.vacancy_arrivals(stream, lam, k, t, seed)
+
+
+class _Paired(_Lattice):
+    """R fire rows followed by their R blue twins, on the coupled state.
+
+    Blue row R + i has fire row i's seed, so the twins ignite together, and
+    `restart` makes it fire row i restarted all-vacant at a hit.  A site
+    both twins burn at one ignition t holds in each an arrival of one stream
+    at or before t, and a stream's partial sums are the same floats however
+    reached, so both move it to one first arrival after t: `_advance` draws
+    it for the fire row and copies it into the blue row.
+    """
+
+    def __init__(self, noises: list[NoiseField], r: int, cap: int):
+        super().__init__([*noises, *noises], r, cap)
+
+    def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
+        half, w = self.rows // 2, burnt.shape[1]
+        both = burnt[:half] & burnt[half:]
+        super()._advance(np.concatenate([burnt[:half], burnt[half:] & ~burnt[:half]]), t)
+        for a in (*self.cursor, self.time):
+            a[half:, 1:w + 1][both] = a[:half, 1:w + 1][both]
+
+    def restart(self, pairs: np.ndarray, t: np.ndarray) -> None:
+        """Overwrite the blue row of each pair in `pairs` with its fire row
+        and vacate its occupied sites at that pair's time in t.  Sites it
+        materialises later start vacant at that time."""
+        blue = self.rows // 2 + pairs
+        for a in (*self.cursor, self.time):
+            a[blue] = a[pairs]
+        self.t0[blue] = t
+        burnt = np.zeros((self.rows, self.time.shape[1] - 1), dtype=bool)
+        burnt[blue] = self.time[blue, 1:] <= t[:, None]
+        self._advance(burnt, self.t0)
 
 
 class _OneRow:
@@ -300,7 +325,7 @@ def _window(config: ModelConfig, targets, reach_window, site_cap):
 
 
 def _keep(state, live: list, keep: np.ndarray) -> list:
-    """Drop the state rows where `keep` is False; returns their new labels."""
+    """Drop the state rows where `keep` is False; returns the labels of `live` kept."""
     state.keep(keep)
     return [row for row, kept in zip(live, keep) if kept]
 
@@ -427,17 +452,47 @@ def run_fires(noises, config: ModelConfig, targets=(), *,
                                  targets, time_cap, reach_window, cap)]
 
 
-def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
-                        cycles: int, *,
-                        reach_window: int | None = None,
-                        time_cap: float = DEFAULT_TIME_CAP) -> list[RenewalRecord]:
-    """Fire/blue renewal experiment at threshold n_k.
+def _run_pairs(state: _Paired, n_k: int, cycles: int, time_cap: float) -> list:
+    """Step every fire/blue pair of `state` until it has `cycles` hits of
+    n_k or an ignition past time_cap; one RenewalRecord list per pair, or
+    the CapExceeded that ended it.  A pair's blue row restarts at each hit,
+    and pairs that finish are dropped while others go on."""
+    out: list = [[] for _ in range(state.rows // 2)]
+    prev = [0.0] * len(out)            # each pair's last hit time
+    live = list(range(len(out)))       # the output index of each state pair
+    while live:
+        t = state.ignite()             # a blue row ignites with its fire row
+        reach, censored = state.burn(t)
+        half, hits, done = len(live), [], []    # done: state rows of finished pairs
+        for i, (pair, ti) in enumerate(zip(live, t.tolist())):
+            recs = out[pair]
+            if ti > time_cap:
+                out[pair] = CapExceeded(f"only {len(recs)} of {cycles} cycles "
+                                        f"before time cap {time_cap}")
+            elif reach[i] >= n_k:
+                recs.append(RenewalRecord(
+                    i=len(recs) + 1, tau_i=ti - prev[pair], rho_i=reach[half + i],
+                    rho_F_i=reach[i], censored_B=censored[half + i], censored_F=censored[i]))
+                prev[pair] = ti
+                if len(recs) < cycles:
+                    hits.append(i)
+            if ti > time_cap or len(recs) == cycles:
+                done += [i, half + i]
+        if hits:
+            state.restart(np.array(hits), t[hits])
+        if done:
+            live = _keep(state, live, np.isin(np.arange(len(t)), done, invert=True))
+    return out
 
-    Runs the fire process, detecting the consecutive times it reaches n_k,
-    and alongside it the blue process: the fire process restarted
-    all-vacant at the previous hit, on the same noise.  Fire and blue are
-    rows 0 and 1 of one lattice state, so one ignition and one burn serve
-    both.  Returns one RenewalRecord per hit.
+
+def run_blue_experiments(noises, config: ModelConfig, n_k: int, cycles: int, *,
+                         reach_window: int | None = None,
+                         time_cap: float = DEFAULT_TIME_CAP) -> list:
+    """`run_blue_experiment` on each noise field of the sequence `noises`:
+    one RenewalRecord list per replication, in order, or the CapExceeded
+    its run raised.  The replications run in lockstep as the pairs of
+    `_Paired` states of at most _PAIRS pairs and _CELLS // window rows, and
+    each gets the floats of its run alone.
     """
     if config.space == "continuous":
         raise NotImplementedError("blue experiment is defined for the lattice model")
@@ -446,22 +501,24 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
     if reach_window is None:
         reach_window = 64 * n_k
     cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
+    block = max(1, min(_PAIRS, _CELLS // (2 * cap)))
+    return [res for lo in range(0, len(noises), block)
+            for res in _run_pairs(_Paired(noises[lo:lo + block], config.r, cap),
+                                  n_k, cycles, time_cap)]
 
-    state = _Lattice([noise, noise], config.r, cap)   # rows: fire, blue
-    records: list[RenewalRecord] = []
-    prev_t = 0.0
-    while (t := state.ignite())[0] <= time_cap:   # both rows ignite together
-        (rho_F, rho_B), (cens_F, cens_B) = state.burn(t)
-        if rho_F >= n_k:
-            t = t[0].item()
-            records.append(RenewalRecord(
-                i=len(records) + 1, tau_i=t - prev_t, rho_i=rho_B, rho_F_i=rho_F,
-                censored_B=cens_B, censored_F=cens_F))
-            if len(records) == cycles:
-                return records
-            prev_t = t
-            state.restart(1, t)
-    raise CapExceeded(f"only {len(records)} of {cycles} cycles before time cap {time_cap}")
+
+def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
+                        cycles: int, **kwargs) -> list[RenewalRecord]:
+    """Fire/blue renewal experiment at threshold n_k, `run_blue_experiments`
+    on one replication (keywords `reach_window`, 64 n_k by default, and
+    `time_cap`): the fire process, detecting the consecutive times it
+    reaches n_k, and alongside it the blue process, the fire process
+    restarted all-vacant at the previous hit on the same noise.  Returns one
+    RenewalRecord per hit."""
+    (recs,) = run_blue_experiments([noise], config, n_k, cycles, **kwargs)
+    if isinstance(recs, CapExceeded):
+        raise recs
+    return recs
 
 
 def detect_gap_event(noise: NoiseField, config: ModelConfig, span, start: float,

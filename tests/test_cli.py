@@ -219,6 +219,25 @@ def test_validate_alpha_k_reports_no_verdict(tmp_path):
     assert report["reps"] + report["censored"] == 4
 
 
+def test_validate_lemma1_stops_when_every_replication_hits_the_time_cap(tmp_path):
+    """At rate 1e-4 the ladder gives n_k = 1 and no replication sees 4 hits
+    before the time cap, so no cycle is ever checked: lemma1 stops after
+    `cycles` replications and exits 3 instead of running forever."""
+    cfg = write_cfg(tmp_path, "c.json", {
+        "model": {"space": "discrete", "r": 1,
+                  "profile": {"kind": "constant", "value": 0.0001}},
+        "seed": 1, "reps": 10, "validate": {"suite": "lemma1", "k": 2, "cycles": 5}})
+    out = str(tmp_path / "r.json")
+    code = ("from firesim import cli\n"
+            f"raise SystemExit(cli.main(['validate', '--config', {cfg!r}, '--out', {out!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(open(out).read())["report"]
+    assert report["n_k"] == 1 and report["cycles_checked"] == 0
+    assert report["censored"] == 5 * 4 and report["pass"] is False
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",

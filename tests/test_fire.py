@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from firesim import fire, green
+from firesim import fire, green, rng
 from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import replication_seed
 
@@ -265,20 +265,21 @@ def test_blue_cycle_times_match_fire_hits():
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_restart_row_equals_a_state_started_at_t(r):
-    """restart(1, t) on a two-row coupled state leaves row 0 alone and gives
-    row 1 the cursor and times of a one-row state started all-vacant at t,
-    at the same width and after both grow.  Site 0's entry is never read."""
+    """restart on a one-pair state leaves the fire row 0 alone and gives the
+    blue row 1 the cursor and times of a one-row state started all-vacant
+    at t, at the same width and after both grow.  Site 0's entry is never
+    read."""
     cfg = ModelConfig(space="discrete", r=r,
                       profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3))
     noise = NoiseField(replication_seed(55, r), cfg)
-    state = fire._Lattice([noise, noise], r, 1024)
+    state = fire._Paired([noise], r, 1024)
     for _ in range(40):
         t = state.ignite()
         state.burn(t)
     t = t[0].item()
     row0 = [a[0].copy() for a in (*state.cursor, state.time)]
     assert np.any(row0[-1][1:] <= t)      # the restart vacates occupied sites
-    state.restart(1, t)
+    state.restart(np.array([0]), np.array([t]))
     assert all(np.array_equal(a[0], b) for a, b in zip((*state.cursor, state.time), row0))
     fresh = fire._Lattice([noise], r, 1024)
     fresh.t0[0] = t
@@ -288,6 +289,65 @@ def test_restart_row_equals_a_state_started_at_t(r):
         fresh._grow(width)
         for a, b in zip((*state.cursor, state.time), (*fresh.cursor, fresh.time)):
             assert np.array_equal(a[1, 1:], b[0, 1:])
+
+
+class _Unshared(fire._Paired):
+    """The paired state with every row advancing through its own draws."""
+
+    _advance = fire._Lattice._advance
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_shared_draws_change_no_float(monkeypatch, r):
+    """Three pairs stepped through 200 ignitions and a few restarts hold the
+    same cursor and times, by ==, with and without shared draws.  The
+    paired state draws fewer exponentials to advance burnt sites, and no
+    such advance draws one (seed, stream, counter) twice, as a blue site
+    burnt together with its fire twin would."""
+    cfg = ModelConfig(space="discrete", r=r,
+                      profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3))
+    noises = [NoiseField(replication_seed(61 + r, i), cfg) for i in range(3)]
+    drawn = []
+    exponential = rng.counter_exponential
+
+    def counted(seed, stream, counter):
+        args = np.broadcast_arrays(*(np.asarray(a, dtype=np.uint64)
+                                     for a in (seed, stream, counter)))
+        drawn.append(np.stack(args, axis=-1).reshape(-1, 3))
+        return exponential(seed, stream, counter)
+
+    monkeypatch.setattr(rng, "counter_exponential", counted)
+    restarts = {50: [0, 2], 120: [1], 170: [0, 1, 2]}
+
+    def run(kind):
+        state, draws, repeats = kind(noises, r, 1024), [0], [0]
+        advance = state._advance
+
+        def counted_advance(burnt, t):
+            drawn.clear()
+            advance(burnt, t)
+            if drawn:
+                triples = np.concatenate(drawn)
+                triples = triples[np.lexsort(triples.T)]
+                draws[0] += len(triples)
+                repeats[0] += int(np.all(triples[1:] == triples[:-1], axis=1).sum())
+
+        state._advance = counted_advance
+        for step in range(200):
+            t = state.ignite()
+            state.burn(t)
+            if step in restarts:
+                pairs = np.array(restarts[step])
+                state.restart(pairs, t[pairs])
+        return state, draws[0], repeats[0]
+
+    (paired, shared_draws, shared_repeats), (alone, own_draws, own_repeats) = \
+        run(fire._Paired), run(_Unshared)
+    for a, b in zip((paired.t0, *paired.cursor, paired.time),
+                    (alone.t0, *alone.cursor, alone.time)):
+        assert np.array_equal(a, b)
+    assert shared_repeats == 0 < own_repeats
+    assert shared_draws < own_draws
 
 
 def test_blue_rejects_continuous():

@@ -1,12 +1,13 @@
 """The lattice engine reproduces committed golden traces exactly.
 
 `tests/data/lattice_golden.json` pins every burn time, reach and censoring
-flag of `run_fire`, every `run_blue_experiment` record and every
-`detect_gap_event` verdict for r in {1, 2, 3} under constant, periodic and
-iid-uniform rate profiles.  `tests/data/memoryless_golden.json` pins the
-`run_fire` traces of the memoryless state (`coupled=False`) on the same
-grid.  Floats are stored by repr and compared with `==`, so any change to
-the arrival sums, the vacancy draws or the burn rule shows here.
+flag of `run_fire`, every `run_blue_experiment` record (also batched
+through `run_blue_experiments`) and every `detect_gap_event` verdict for
+r in {1, 2, 3} under constant, periodic and iid-uniform rate profiles.
+`tests/data/memoryless_golden.json` pins the `run_fire` traces of the
+memoryless state (`coupled=False`) on the same grid.  Floats are stored
+by repr and compared with `==`, so any change to the arrival sums, the
+vacancy draws or the burn rule shows here.
 
 Regenerate (only when the pinned behaviour is meant to change) with
 
@@ -58,6 +59,11 @@ MEMORYLESS = {
 GOLDEN = {"lattice_golden.json": RUNS, "memoryless_golden.json": MEMORYLESS}
 
 
+def _records(recs) -> list:
+    return [[rec.i, float(rec.tau_i), int(rec.rho_i), int(rec.rho_F_i),
+             rec.censored_B, rec.censored_F] for rec in recs]
+
+
 def _run(runs: dict, name: str, r: int, profile: str, seed: int):
     cfg = ModelConfig(space="discrete", r=r, profile=PROFILES[profile])
     noise = NoiseField(replication_seed(1000 + r, seed), cfg)
@@ -70,9 +76,7 @@ def _run(runs: dict, name: str, r: int, profile: str, seed: int):
                     "tau": {str(x): float(t) for x, t in trace.tau.items()},
                     "complete": trace.complete, "censored": trace.censored}
         if func == "run_blue_experiment":
-            recs = fire.run_blue_experiment(noise, cfg, **kwargs)
-            return [[rec.i, float(rec.tau_i), int(rec.rho_i), int(rec.rho_F_i),
-                     rec.censored_B, rec.censored_F] for rec in recs]
+            return _records(fire.run_blue_experiment(noise, cfg, **kwargs))
         return [bool(fire.detect_gap_event(noise, cfg, span, start, dur))
                 for span, start, dur in kwargs]
     except CapExceeded:
@@ -104,6 +108,28 @@ def test_lattice_matches_golden(golden, file, name, r, profile):
     for seed in SEEDS:
         got = json.loads(json.dumps(_run(GOLDEN[file], name, r, profile, seed)))
         assert got == golden[file][_key(name, r, profile, seed)], _key(name, r, profile, seed)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_blue_batch_matches_golden(golden, monkeypatch, r, profile):
+    """The blue cases of seeds 0-3 as one `run_blue_experiments` batch, in
+    blocks of 1, 2 and all pairs, give the golden records of their runs
+    alone, and a run stopped at the time cap gives CapExceeded in place."""
+    cfg = ModelConfig(space="discrete", r=r, profile=PROFILES[profile])
+    noises = [NoiseField(replication_seed(1000 + r, seed), cfg) for seed in SEEDS]
+    for name, (func, kwargs) in RUNS.items():
+        if func != "run_blue_experiment":
+            continue
+        window = kwargs.get("reach_window", 64 * kwargs["n_k"])
+        cap = fire._window(cfg, [kwargs["n_k"]], window, fire.DEFAULT_SITE_CAP)
+        want = [golden["lattice_golden.json"][_key(name, r, profile, seed)] for seed in SEEDS]
+        for pairs in (1, 2, len(SEEDS)):
+            monkeypatch.setattr(fire, "_CELLS", 2 * pairs * cap)
+            batch = fire.run_blue_experiments(noises, cfg, **kwargs)
+            got = ["CapExceeded" if isinstance(res, CapExceeded) else _records(res)
+                   for res in batch]
+            assert json.loads(json.dumps(got)) == want, (name, pairs)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytic, experiments, fire
-from .model import ModelConfig, NoiseField, RateProfile
+from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from .rng import replication_seed
 
 
@@ -212,7 +212,9 @@ def _tau_block(args):
 
 
 def _pmap(fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) < 2:
+    # at most one worker a job and one a CPU: a fork pool starts them all at once
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (8 * workers))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -379,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replications (overrides config)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for `run` (default: CPU count); "
-                             "other commands ignore it")
+                        help="worker processes for `run`, at most one a job and one "
+                             "a CPU (default: CPU count); other commands ignore it")
     parser.add_argument("--emit-plot-data", action="store_true")
     return parser
 
@@ -398,6 +400,10 @@ def main(argv=None) -> int:
         return handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CapExceeded as exc:
+        print(f"cap exceeded: {exc}; lower the horizon, time_cap or targets",
+              file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,6 @@ passing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -156,15 +155,6 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     the fire reach equals the green reach at every record time."""
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    # (N_green(t), tau_green(x)) readers on one replication's noise
-    if config.space == "discrete":
-        def green_readers(noise):
-            return (functools.partial(green.simulate_N_green, noise, config),
-                    lambda x: green.simulate_tau_green(noise, config, int(x)))
-    else:
-        def green_readers(noise):
-            return (green.green_reach_cont(noise, config, horizon),
-                    lambda x: green.simulate_tau_green_cont(noise, config, float(x)))
     tau_viol = 0
     record_viol = 0
     records_checked = 0
@@ -172,7 +162,7 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     for i in range(reps):
         noise = NoiseField(replication_seed(master_seed, i), config)
         trace = fire.run_fire(noise, config, targets=(), time_cap=horizon)
-        n_green, tau_green = green_readers(noise)
+        n_green, tau_green = green.green_readers(noise, config, horizon)
         for x in targets:
             tau_x = next((ev.time for ev in trace.events if ev.rightmost >= x), None)
             if tau_x is None:
@@ -205,8 +195,8 @@ def validate_thresholds(config: ModelConfig, n: int, epsilon: float, reps: int,
     errors.  The envelopes are asymptotic in n, so a small n can miss them.
     """
     profile, r = config.profile, config.r
-    if profile.kind == "constant":
-        T = analytic.homog_threshold(n, r)
+    if profile.kind == "constant":     # rates scaled by lambda scale times by 1/lambda
+        T = analytic.homog_threshold(n, r) / profile.values[0]
     else:
         T = analytic.t_star(profile, r, n, 0.5)
     c = profile.c1 / (2 * profile.c2)

@@ -28,9 +28,10 @@ lattice replications this way, in blocks of rows bounded by a cell budget,
 and a lattice `run_fire` is the batch of one.  `run_blue_experiments` runs
 renewal replications so, each as a fire row and its blue twin (`_Paired`),
 and advances a site both burn at one ignition once; `run_blue_experiment`
-is its batch of one.  The continuous state, `green._Continuum`, has the
-same structure and runs in `run_fire` as a one-row state through the same
-loop, one replication at a time.
+is its batch of one.  The continuous state, `green._Continuum`, is itself
+a one-row state of the same step interface, which `run_fire` hands to the
+same loop, one replication at a time; without burns it is the green
+process that `green.green_readers` reads.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on
@@ -47,10 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .green import DEFAULT_TIME_CAP, _Continuum, first_vacant_run
+from .green import DEFAULT_SITE_CAP, DEFAULT_TIME_CAP, _Continuum, first_vacant_run
 from .model import CapExceeded, ModelConfig, NoiseField
-
-DEFAULT_SITE_CAP = 1 << 22
 
 
 @dataclass
@@ -290,24 +289,6 @@ class _Paired(_Lattice):
         self._advance(burnt, self.t0)
 
 
-class _OneRow:
-    """The continuous state, `green._Continuum`, as a one-row state of the
-    lockstep step interface; once its ignitions run out, the next is inf.
-    Its one row is never dropped: the loop ends when it finishes."""
-
-    rows = 1
-
-    def __init__(self, state: _Continuum):
-        self.state, self.times = state, state.ignitions()
-
-    def ignite(self) -> np.ndarray:
-        return np.array([next(self.times, np.inf)])
-
-    def burn(self, t: np.ndarray) -> tuple[list, list]:
-        reach, censored = self.state.burn(t.item())
-        return [reach], [censored]
-
-
 def _window(config: ModelConfig, targets, reach_window, site_cap):
     """The scan cap: a window of about twice the largest target or
     `reach_window`, within site_cap; site_cap without either.  A lattice
@@ -409,7 +390,7 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     """
     if config.space == "continuous":
         targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
-        (trace,) = _run_rows(_OneRow(_Continuum(noise, config, cap, time_cap)),
+        (trace,) = _run_rows(_Continuum(noise, config, cap, time_cap),
                              targets, time_cap, reach_window, cap)
     else:
         (trace,) = run_fires([noise], config, targets, time_cap=time_cap,

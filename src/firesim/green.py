@@ -14,6 +14,10 @@ that sites j..j+r-1 are all vacant,
 
 so the empty configuration has N_green = r - 1 and the simulator agrees
 exactly with every analytic oracle in `analytic`.
+
+On the continuous model one lazy state, `_Continuum`, is the fire engine's
+one-row step state and, without burns, the green process `green_readers`
+reads N_green and the first passage tau_green from.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
 
-DEFAULT_SITE_CAP = 1 << 24
+DEFAULT_SITE_CAP = 1 << 22
 DEFAULT_TIME_CAP = 1e4
 _GAP_BUDGET = 8_000_000    # gaps drawn at once by sample_green_reach_cont
 _COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
@@ -97,8 +101,6 @@ def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
     if x <= r - 1:
         return 0.0
     first = noise.next_arrivals_after(1, x + 1, 0.0)
-    if r == 1:
-        return float(first.max())
     win = np.lib.stride_tricks.sliding_window_view(first, r)
     return float(win.min(axis=1).max())
 
@@ -115,111 +117,131 @@ class _Continuum:
     stands at t iff it arrived by t.  Unit columns are read in doubling
     blocks only while a chain may pass the columns read, and unit time rows
     only as far as the ignitions or a query need, so each cell is read once.
-    Without burns the state is the green process.
+    Without burns it is the green process (`green`, `first_passage`).  It
+    is a one-row state of `fire._run_rows`' step interface without `keep`:
+    the loop ends when its row finishes; ignitions past the last are inf.
     """
+
+    rows = 1
 
     def __init__(self, noise: NoiseField, config: ModelConfig, cap: float,
                  time_cap: float):
         self.noise, self.cap, self.time_cap = noise, float(cap), float(time_cap)
-        self.connect, self.ignite = config.connect_distance, config.ignite_distance
+        self.connect, self.ignite_distance = config.connect_distance, config.ignite_distance
         self.trees = np.empty((0, 2))      # (position, arrival time) rows
-        self.cols = int(np.ceil(min(max(_COLS, self.ignite), self.cap)))
-        self.rows = 0
+        self.cols = int(np.ceil(min(max(_COLS, self.ignite_distance), self.cap)))
+        self.depth = 0                     # unit time rows read
+        self.ignitions = self._ignitions()
 
-    def _read(self, cols: int, rows: int) -> None:
-        """Extend the cells read to [0, cols) x [0, rows)."""
-        pts = np.concatenate([self.trees, self.noise.cells(self.cols, cols, 0, rows),
-                              self.noise.cells(0, self.cols, self.rows, rows)])
+    def _read(self, cols: int, depth: int) -> None:
+        """Extend the cells read to [0, cols) x [0, depth)."""
+        pts = np.concatenate([self.trees, self.noise.cells(self.cols, cols, 0, depth),
+                              self.noise.cells(0, self.cols, self.depth, depth)])
         pts = pts[(pts[:, 0] <= self.cap) & (pts[:, 1] <= self.time_cap)]
         self.trees = pts[np.argsort(pts[:, 0], kind="stable")]
-        self.cols, self.rows = cols, rows
+        self.cols, self.depth = cols, depth
 
     def _more_rows(self, t: float = 0.0) -> float:
         """Read the next block of time rows: at least _ROWS rows, twice as
         many as before and through t, up to time_cap.  Returns the time now
         covered."""
-        rows = max(2 * self.rows, _ROWS, t)
-        self._read(self.cols, int(np.ceil(min(rows, self.time_cap))))
-        return min(self.rows, self.time_cap)
+        depth = max(2 * self.depth, _ROWS, t)
+        self._read(self.cols, int(np.ceil(min(depth, self.time_cap))))
+        return min(self.depth, self.time_cap)
 
-    def reach(self, t: float) -> tuple[float, bool]:
+    def reach(self, t: float, x: float = np.inf) -> tuple[float, bool]:
         """(reach, censored) at time t: the chain from the rightmost standing
         tree within the ignite distance across gaps of at most the connect
         distance, 0.0 without such a tree.  A chain that may pass the cap is
-        censored, with the reach of its part inside the cap."""
-        if self.rows < min(t, self.time_cap):
+        censored, with the reach of its part inside the cap.  Columns are
+        read only until they hold [0, x + connect], which decides whether
+        the chain passes x, so a reach >= x may stop short."""
+        if self.depth < min(t, self.time_cap):
             self._more_rows(t)
         while True:
             pos = self.trees[self.trees[:, 1] <= t, 0]
-            k = np.searchsorted(pos, self.ignite, "right") - 1
+            k = np.searchsorted(pos, self.ignite_distance, "right") - 1
             stop = np.flatnonzero(np.diff(pos[max(k, 0):]) > self.connect)
             reach = 0.0 if k < 0 else float(pos[k + stop[0]] if len(stop) else pos[-1])
             width = min(self.cols, self.cap)
-            if reach <= width - self.connect or width == self.cap:
+            if reach <= width - self.connect or width == self.cap or width >= x + self.connect:
                 return reach, bool(reach > width - self.connect)
-            self._read(int(np.ceil(min(2 * self.cols, self.cap))), self.rows)
+            self._read(int(np.ceil(min(2 * self.cols, self.cap))), self.depth)
 
-    def burn(self, t: float) -> tuple[float, bool]:
-        """Burn at ignition time t; returns (reach, censored)."""
-        reach, censored = self.reach(t)
-        self.trees = self.trees[(self.trees[:, 0] > reach) | (self.trees[:, 1] > t)]
-        return reach, censored
+    def green(self, t: float, x: float = np.inf) -> float:
+        """`reach(t, x)` of a state without burns; CapExceeded if a chain
+        short of x may pass the cap."""
+        reach, censored = self.reach(t, x)
+        if censored and reach < x:
+            raise CapExceeded(f"green cluster exceeded spatial window cap {self.cap:.0f}")
+        return reach
 
-    def ignitions(self):
+    def first_passage(self, x: float) -> float:
+        """tau_green(x) of a state without burns, inf past time_cap: the
+        green reach only grows, and only when a tree arrives, so tau is the
+        first tree time at which it is >= x, found by bisection over the
+        trees read, which hold every tree of [0, x + connect] by then."""
+        if x <= 0:
+            raise ValueError("x must be > 0")
+        t = min(self.depth, self.time_cap)
+        while self.green(t, x) < x:
+            if t >= self.time_cap:
+                return np.inf
+            t = self._more_rows()
+        times = np.sort(self.trees[:, 1])
+        return float(times[bisect.bisect_left(times, True, key=lambda s: self.green(s, x) >= x)])
+
+    def _ignitions(self):
         """Arrival times of the trees within the ignite distance, in order,
         reading time rows in doubling blocks as they are consumed."""
         lo = 0.0
         while lo < self.time_cap:
             hi = self._more_rows()
-            pos, time = self.trees[:, 0], self.trees[:, 1]
-            yield from np.sort(time[(pos <= self.ignite) & (time > lo) & (time <= hi)]).tolist()
+            time = self.trees[self.trees[:, 0] <= self.ignite_distance, 1]
+            yield from np.sort(time[(time > lo) & (time <= hi)]).tolist()
             lo = hi
 
+    def ignite(self) -> np.ndarray:
+        return np.array([next(self.ignitions, np.inf)])
 
-def green_reach_cont(noise: NoiseField, config: ModelConfig, horizon: float):
-    """N_green(t) of the continuous model as a function of t in [0, horizon].
+    def burn(self, t: np.ndarray) -> tuple[list, list]:
+        """Burn at the ignition time t[0]; returns ([reach], [censored])."""
+        t = t.item()
+        reach, censored = self.reach(t)
+        self.trees = self.trees[(self.trees[:, 0] > reach) | (self.trees[:, 1] > t)]
+        return [reach], [censored]
 
-    Every query reads the one fire-free state, so each cell is read once
-    however many times are asked.  A cluster that may pass DEFAULT_SITE_CAP
-    raises CapExceeded.
-    """
+
+def green_readers(noise: NoiseField, config: ModelConfig, horizon: float):
+    """(N_green(t), tau_green(x)) of one replication's noise: on the lattice
+    `simulate_N_green` and `simulate_tau_green`; on the continuous model
+    one fire-free state up to `horizon`, so each cell is read once, where
+    tau_green is inf past the horizon (CapExceeded as `_Continuum.green`)."""
+    if config.space == "discrete":
+        return (lambda t: simulate_N_green(noise, config, t),
+                lambda x: simulate_tau_green(noise, config, int(x)))
     state = _Continuum(noise, config, DEFAULT_SITE_CAP, horizon)
 
-    def reach_at(t: float) -> float:
+    def n_green(t: float) -> float:
         if not 0 <= t <= horizon:
             raise ValueError(f"need 0 <= t <= horizon = {horizon}")
-        reach, censored = state.reach(t)
-        if censored:
-            raise CapExceeded(f"green cluster exceeded spatial window cap {DEFAULT_SITE_CAP}")
-        return reach
+        return state.green(t)
 
-    return reach_at
+    return n_green, state.first_passage
 
 
 def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float) -> float:
     """Rightmost cluster point of the continuous green process at time t."""
-    return green_reach_cont(noise, config, t)(t)
+    return green_readers(noise, config, t)[0](t)
 
 
-def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float,
-                            time_cap: float = DEFAULT_TIME_CAP) -> float:
-    """First time the continuous green reach meets or passes x.
-
-    The chain's first tree at or past x lies within max(x + connect, ignite),
-    so no column beyond that is read.  The green reach only grows, so tau is
-    the first tree time at which it is >= x, found by bisection.
-    """
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    state = _Continuum(noise, config, max(x + config.connect_distance,
-                                          config.ignite_distance), time_cap)
-    t = 0.0
-    while state.reach(t)[0] < x:
-        if t >= time_cap:
-            raise CapExceeded(f"green process did not reach {x} before time cap {time_cap}")
-        t = state._more_rows()
-    times = np.sort(state.trees[:, 1])
-    return float(times[bisect.bisect_left(times, True, key=lambda s: state.reach(s)[0] >= x)])
+def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float) -> float:
+    """First time the continuous green reach meets or passes x; CapExceeded
+    past DEFAULT_TIME_CAP."""
+    tau = green_readers(noise, config, DEFAULT_TIME_CAP)[1](x)
+    if tau == np.inf:
+        raise CapExceeded(f"green process did not reach {x} before time cap {DEFAULT_TIME_CAP}")
+    return tau
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI: config validation, exit codes, output format and determinism."""
 
+import functools
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from firesim import cli
+from firesim import cli, fire
 
 
 def write_cfg(tmp_path, name, payload):
@@ -92,6 +93,39 @@ def test_run_jobs_cover_the_replications_in_order(space, reps, workers, sizes):
     blocks = cli._rep_blocks(model, reps, workers)
     assert [len(b) for b in blocks] == sizes
     assert [i for b in blocks for i in b] == list(range(reps))
+
+
+@pytest.mark.parametrize("cpus,pool", [(64, 10), (3, 3)])
+def test_worker_pool_is_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, pool):
+    """`--workers 5000` on 10 replications asks the pool for at most one
+    worker a job and one a CPU; the pool here maps in this process, so no
+    process starts, and the output equals the serial run's."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = write_cfg(tmp_path, "c.json", {**BASE, "run": {"targets": [8]}})
+    outs = []
+    for workers in ("1", "5000"):
+        out = tmp_path / f"{workers}.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--reps", "10",
+                         "--workers", workers]) == 0
+        outs.append(out.read_bytes())
+    assert sizes == [pool]
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("model,section,bad", [
@@ -324,6 +358,18 @@ def test_bad_numeric_values_exit_2(tmp_path, capsys, command, cfg, flags):
     path = write_cfg(tmp_path, "c.json", {"reps": 4, **cfg})
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *flags]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_validate_cap_exceeded_exit_2(tmp_path, monkeypatch, capsys):
+    """A prop1 run that passes the site cap ends in exit 2 and a hint, not a
+    traceback; the cap is lowered to 256 sites so the run stays small."""
+    monkeypatch.setattr(fire, "run_fire", functools.partial(fire.run_fire, site_cap=256))
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"space": "discrete", "r": 1}, "reps": 2,
+                                         "validate": {"suite": "prop1", "horizon": 30,
+                                                      "targets": [4]}})
+    assert cli.main(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "horizon" in err
 
 
 def test_validate_unknown_suite_exit_2(tmp_path):

@@ -242,9 +242,14 @@ def test_validate_prop1_rejects_bad_horizon():
 
 
 def test_validate_thresholds_small():
-    rep = experiments.validate_thresholds(CFG1, 1000, 0.2, 2000, 5)
-    assert rep["below_ok"] and rep["above_ok"]
-    assert 0 <= rep["p_below_at_late"] <= 1
+    """At every constant rate lambda the critical time is log(n) / (r lambda):
+    scaling all rates by lambda divides every arrival time by lambda."""
+    for lam in (1.0, 0.5, 2.0):
+        cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(lam))
+        rep = experiments.validate_thresholds(cfg, 1000, 0.2, 2000, 5)
+        assert rep["below_ok"] and rep["above_ok"], lam
+        assert rep["T"] == pytest.approx(math.log(1000) / lam)
+        assert 0 <= rep["p_below_at_late"] <= 1
 
 
 def test_validate_lemma1_small():

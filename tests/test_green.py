@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from firesim import analytic, green
-from firesim.model import ModelConfig, NoiseField, RateProfile
+from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import rep_rng, replication_seed
 
 
@@ -224,6 +224,47 @@ def test_continuous_tau_is_first_passage():
             tau = green.simulate_tau_green_cont(noise, cfg, x)
             assert green.simulate_N_green_cont(noise, cfg, tau) >= x
             assert green.simulate_N_green_cont(noise, cfg, tau * (1 - 1e-9)) < x
+
+
+@pytest.mark.parametrize("horizon", [3.0, 5.0])
+@pytest.mark.parametrize("connect,ignite", [(1.0, 1.0), (0.5, 2.0), (1.5, 0.7)])
+def test_continuous_first_passage_on_a_shared_state(connect, ignite, horizon):
+    """tau_green(x) from a state that has already answered N_green equals it
+    from a fresh state and the naive first passage over the trees standing
+    at each tree time, and is inf where x is not reached by the horizon.
+    The naive reach reads [0, 40], which holds every chain that passes
+    x <= 31.7 up to its first tree at or past x.  15.6 and 31.7 lie just
+    under the ends of the first two blocks of columns a state reads, where
+    a chain may arrive past the block before it passes x (seed 24 of
+    (1.5, 0.7) at horizon 5 and x = 31.7); 30 lies past the first."""
+    cfg = ModelConfig(space="continuous", connect_distance=connect, ignite_distance=ignite)
+    xs = (0.5, 3.0, 10.0, 15.6, 30.0, 31.7)
+    seen = set()
+    for seed in range(30):
+        noise = NoiseField(replication_seed(34, seed), cfg)
+        n_green, tau_green = green.green_readers(noise, cfg, horizon)
+        for t in (0.5, 1.5, horizon):
+            n_green(t)
+        pts = noise.points_in(0.0, 40.0, 0.0, horizon)
+        for x in xs:
+            naive = next((s for s in np.sort(pts[:, 1]) if cluster_reach_cont(
+                pts[pts[:, 1] <= s, 0], connect, ignite) >= x), math.inf)
+            tau = tau_green(x)
+            assert tau == green.green_readers(noise, cfg, horizon)[1](x) == naive
+            if tau == math.inf:
+                assert green.simulate_tau_green_cont(noise, cfg, x) > horizon
+            seen.add(tau == math.inf)
+    assert seen == {True, False}
+
+
+def test_continuous_first_passage_raises_past_the_cap():
+    """A chain short of x that may pass the cap raises CapExceeded rather
+    than reading as a green process that never reaches x (seed 2's chain
+    passes 7 of the cap 8 by time 5)."""
+    cfg = ModelConfig(space="continuous", r=1)
+    state = green._Continuum(NoiseField(replication_seed(34, 2), cfg), cfg, 8.0, 5.0)
+    with pytest.raises(CapExceeded):
+        state.first_passage(31.7)
 
 
 def test_continuous_sampler_moments_t1():

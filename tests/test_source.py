@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in firesim is read, and every
-private name it defines is named somewhere else in it."""
+"""Source hygiene: every module-level import in firesim is read, every
+private name it defines is named somewhere else in it, and no module-level
+name is defined in two of its modules."""
 
 import ast
 import pathlib
@@ -37,6 +38,19 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def defined_names(nodes) -> list[tuple[str, int]]:
+    """(name, line) of every function, class and plain assignment among the
+    statements `nodes`."""
+    out = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
 def dead_private_names(sources: dict) -> list[str]:
     """The module-level private names and private methods defined in
     `sources` (module name -> source) that no name or attribute in any of
@@ -46,16 +60,8 @@ def dead_private_names(sources: dict) -> list[str]:
         tree = ast.parse(source)
         methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
                    for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for node in tree.body + methods:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [(name, module, node.lineno) for name in names
-                        if name.startswith("_") and not name.endswith("__")]
+        defined += [(name, module, line) for name, line in defined_names(tree.body + methods)
+                    if name.startswith("_") and not name.endswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
@@ -74,3 +80,27 @@ def test_dead_private_names_finds_only_unread_names():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def names_defined_twice(sources: dict) -> list[str]:
+    """The module-level names that two or more of `sources` (module name ->
+    source) define, with those modules; a name imported from another
+    module is not a definition."""
+    where: dict = {}
+    for module, source in sources.items():
+        for name, _ in defined_names(ast.parse(source).body):
+            where.setdefault(name, set()).add(module)
+    return [f"{name} ({', '.join(sorted(modules))})"
+            for name, modules in sorted(where.items()) if len(modules) > 1]
+
+
+def test_names_defined_twice_finds_only_repeated_definitions():
+    sources = {"a": "CAP = 1\ndef f():\n    pass\nclass C:\n    g = 2\n",
+               "b": "from a import f\nCAP: int = 2\nclass C:\n    pass\ng = 3\n"}
+    assert names_defined_twice(sources) == ["C (a, b)", "CAP (a, b)"]
+
+
+def test_no_name_defined_in_two_modules():
+    """One constant, function or class has one home: two definitions can
+    drift apart, as two site caps once did."""
+    assert names_defined_twice({p.name: p.read_text() for p in PACKAGE}) == []

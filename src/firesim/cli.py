@@ -317,9 +317,8 @@ def cmd_validate(cfg: dict, args) -> int:
         if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) \
                 or not 0 < epsilon < 1:
             raise ConfigError(f"validate.epsilon must be a number in (0, 1); got {epsilon!r}")
-        report = experiments.validate_thresholds(
-            model, _integer(section.get("n", 10_000), "validate.n", 2),
-            float(epsilon), reps, seed)
+        n = _integer(section.get("n", 10_000), "validate.n", 2, most=fire.DEFAULT_SITE_CAP)
+        report = experiments.validate_thresholds(model, n, float(epsilon), reps, seed)
     elif suite == "permutation":
         if model.r != 1:
             raise ConfigError(f"suite 'permutation' checks r = 1 only; got model.r = {model.r}")

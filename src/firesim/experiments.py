@@ -135,13 +135,10 @@ def sample_vacant_run_within(rng_: np.random.Generator, profile: RateProfile,
         vac = pos <= n
         if thin:
             vac &= rng_.random(pos.shape) < p_keep[pos - 1]
-        # in the end run[:, j]: candidates j..j+r-1 are vacant, consecutive sites
-        run = vac
-        if r > 1:
-            link = vac[:, :-1] & vac[:, 1:] & (np.diff(pos, axis=1) == 1)
-            for k in range(1, r):
-                run = run[:, :-1] & link[:, k - 1:]
-        out[lo:lo + len(pos)] = run.any(axis=1)
+        # for r > 1, r vacant candidates on consecutive sites are r - 1
+        # consecutive links, each two vacant candidates on adjacent sites
+        run = vac[:, :-1] & vac[:, 1:] & (np.diff(pos, axis=1) == 1) if r > 1 else vac
+        out[lo:lo + len(pos)] = green.first_vacant_run(run, max(r - 1, 1)) >= 0
     return out
 
 
@@ -439,14 +436,14 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
 
     Replication i at target x runs on a seed derived from (master_seed, x,
     i), so a row depends on neither the rest of the grid nor, through
-    shifted seeds, on another study's rows.  A lattice target enters as
-    int(x), a continuous one as the bits of float(x), so distinct
-    fractional targets get distinct seeds.
+    shifted seeds, on another study's rows.  A lattice target x enters as
+    the site ceil(x) its burn meets, a continuous one as the bits of
+    float(x), so distinct fractional targets get distinct seeds.
     """
     rows = []
     min_ratio = float("inf")
     for x in x_grid:
-        key = int(x) if config.space == "discrete" else int(np.float64(x).view(np.uint64))
+        key = math.ceil(x) if config.space == "discrete" else int(np.float64(x).view(np.uint64))
         row_seed = replication_seed(master_seed, key)
         taus = first_burn_times(config, [replication_seed(row_seed, i) for i in range(reps)], x,
                             time_cap=time_cap)
@@ -485,7 +482,7 @@ def validate_permutation(profile: RateProfile, x: int, permutation, reps: int,
         raise ValueError("need reps >= 2")
     if sorted(perm) != list(range(1, x + 1)):
         raise ValueError("permutation must act on sites 1..x")
-    extent = max(256, 1 << int(np.ceil(np.log2(2 * x + 64))))
+    extent = fire._window(ModelConfig(), [x], None, fire.DEFAULT_SITE_CAP)
     base = profile.rates(0, extent + 1)
     permuted = base.copy()
     permuted[1:x + 1] = base[perm]

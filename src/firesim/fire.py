@@ -7,8 +7,9 @@ burn.  A site is occupied at time t iff that number is <= t, and site 0's
 number is the next ignition.  The engine walks the ignitions in order,
 materialises sites only as far as the vacant-run scan reaches, and after a
 burn advances only the burnt, occupied sites.  The reach follows the same
-vacant-run rule as the green process, which makes the fire/green
-coincidence at record times exact.
+vacant-run rule as the green process, through the one scan
+`green.first_vacant_run`, which makes the fire/green coincidence at
+record times exact.
 
 Advancing a burnt site through its stream draws every arrival it received
 while occupied, which only that coupling needs.  The memoryless state,
@@ -102,18 +103,6 @@ _CELLS = 1 << 16   # sites x rows a lattice state may hold: rows <= _CELLS // wi
 _PAIRS = 8         # most fire/blue pairs a paired state steps in lockstep
 
 
-def _first_runs(vacant: np.ndarray, r: int) -> np.ndarray:
-    """Per row of the 2-D `vacant`, the 0-based index of its first run of r
-    consecutive True; -1 where the row holds none."""
-    n = vacant.shape[1] - r + 1
-    if n <= 0:
-        return np.full(len(vacant), -1)
-    run = vacant[:, :n]
-    for k in range(1, r):
-        run = run & vacant[:, k:k + n]
-    return np.where(run.any(axis=1), run.argmax(axis=1), -1)
-
-
 class _Lattice:
     """Lazy states of R replications of the lattice fire process, stepped
     in lockstep.
@@ -204,7 +193,7 @@ class _Lattice:
         """
         cap, r = self.cap, self.r
         m = min(64, cap)
-        j0 = _first_runs(self.time[:, 1:m] > t[:, None], r)
+        j0 = first_vacant_run(self.time[:, 1:m] > t[:, None], r)
         censored = j0 < 0
         if censored.any():
             todo = np.flatnonzero(censored)
@@ -212,7 +201,7 @@ class _Lattice:
                 m = min(2 * m, cap)
                 if m > self.time.shape[1]:
                     self._grow(m)
-                j0[todo] = _first_runs(self.time[todo, 1:m] > t[todo, None], r)
+                j0[todo] = first_vacant_run(self.time[todo, 1:m] > t[todo, None], r)
                 todo = todo[j0[todo] < 0]
             censored = j0 < 0
         last = np.where(censored, cap - 1, j0 + (r - 1))   # the last site burnt

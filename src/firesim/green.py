@@ -34,21 +34,21 @@ _GAP_BUDGET = 8_000_000    # gaps drawn at once by sample_green_reach_cont
 _COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
 
 
-def first_vacant_run(vacant: np.ndarray, r: int) -> int:
-    """0-based index into `vacant` of the first run of r consecutive True.
-
-    Returns -1 if the array holds no such run.
-    """
+def first_vacant_run(vacant, r: int):
+    """0-based index along the last axis of `vacant`, a 1-D or 2-D bool
+    mask, of its first run of r consecutive True: an int for 1-D input, one
+    index per row for 2-D input; -1 where there is no such run."""
     v = np.asarray(vacant, dtype=bool)
-    if len(v) < r:
-        return -1
-    if r == 1:
-        idx = np.argmax(v)
-        return int(idx) if v[idx] else -1
-    c = np.cumsum(np.concatenate([[0], v.astype(np.int64)]))
-    runs = c[r:] - c[:-r]       # runs[j] = number of vacant among v[j:j+r]
-    idx = np.argmax(runs == r)
-    return int(idx) if runs[idx] == r else -1
+    n = v.shape[-1] - r + 1
+    if n <= 0:
+        return -1 if v.ndim == 1 else np.full(len(v), -1)
+    run = v[..., :n]
+    for k in range(1, r):
+        run = run & v[..., k:k + n]
+    idx = run.argmax(axis=-1)
+    if v.ndim == 1:
+        return int(idx) if run[idx] else -1
+    return np.where(run.any(axis=1), idx, -1)
 
 
 def reach_discrete(occupied: np.ndarray, r: int) -> int:
@@ -78,13 +78,12 @@ def _first_run_reach(vacant, r: int, site_cap: int) -> int:
     raise CapExceeded(f"no vacant run of length {r} within {site_cap} sites")
 
 
-def simulate_N_green(noise: NoiseField, config: ModelConfig, t: float,
-                     site_cap: int = DEFAULT_SITE_CAP) -> int:
+def simulate_N_green(noise: NoiseField, config: ModelConfig, t: float) -> int:
     """Rightmost reachable point of the discrete green process at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
     return _first_run_reach(lambda lo, hi: noise.next_arrivals_after(lo, hi, 0.0) > t,
-                            config.r, site_cap)
+                            config.r, DEFAULT_SITE_CAP)
 
 
 def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
@@ -214,12 +213,13 @@ class _Continuum:
 
 def green_readers(noise: NoiseField, config: ModelConfig, horizon: float):
     """(N_green(t), tau_green(x)) of one replication's noise: on the lattice
-    `simulate_N_green` and `simulate_tau_green`; on the continuous model
-    one fire-free state up to `horizon`, so each cell is read once, where
-    tau_green is inf past the horizon (CapExceeded as `_Continuum.green`)."""
+    `simulate_N_green` and `simulate_tau_green` at site ceil(x), where a
+    burn meets x; on the continuous model one fire-free state up to
+    `horizon`, so each cell is read once, where tau_green is inf past the
+    horizon (CapExceeded as `_Continuum.green`)."""
     if config.space == "discrete":
         return (lambda t: simulate_N_green(noise, config, t),
-                lambda x: simulate_tau_green(noise, config, int(x)))
+                lambda x: simulate_tau_green(noise, config, int(np.ceil(x))))
     state = _Continuum(noise, config, DEFAULT_SITE_CAP, horizon)
 
     def n_green(t: float) -> float:

@@ -227,12 +227,11 @@ class NoiseField:
             todo = todo[time[todo] <= t[todo]]
         return unit, count, time
 
-    def vacancy_arrivals(self, stream, lam, k, t, seed=None):
+    def vacancy_arrivals(self, stream, lam, k, t, seed):
         """Arrival that ends vacancy k of a site, begun at t: t + E / lam,
         E being counter k of the site's vacancy stream `stream`
-        (`rng.vacancy_stream`) under master seed `seed`, this field's by
-        default.  All arguments broadcast."""
-        seed = self.master_seed if seed is None else seed
+        (`rng.vacancy_stream`) under master seed `seed`.  All arguments
+        broadcast."""
         return t + rng.counter_exponential(seed, stream, k) / lam
 
     def arrivals_before(self, x: int, t: float) -> np.ndarray:
@@ -259,9 +258,9 @@ class NoiseField:
         return self.advance(rng.site_stream(np.arange(start, stop)), lam, 0.0, 0, t)[2]
 
     # ----- continuous -----------------------------------------------------
-    def _draw_cells(self, ij: np.ndarray):
-        """Points of the unit cells ij (rows (i, j)), drawn in one pass, cell
-        by cell, and each cell's count.
+    def cells(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        """Points of the unit cells [i0, i1) x [j0, j1) as an (n, 2) array,
+        drawn in one pass, cell by cell, and not cached.
 
         Cell (i, j) has a Poisson(intensity) count n, the inversion of
         counter 0 of its stream, and point m (0 <= m < n) at position
@@ -269,23 +268,19 @@ class NoiseField:
         is a pure function of (seed, stream, counter), so a cell's points
         do not depend on which other cells share its block.
         """
-        stream = rng.cell_stream(ij[:, 0], ij[:, 1])
-        u = rng.counter_uniform(self.master_seed, stream, 0)
-        n = np.minimum(np.searchsorted(_poisson_cdf(self.config.intensity), u, "left"),
-                       _POISSON_KMAX)
-        cell = np.repeat(np.arange(len(ij)), n)
-        m = np.arange(len(cell)) - (np.cumsum(n) - n)[cell]
-        pos = rng.counter_uniform(self.master_seed, stream[cell], 1 + m)
-        time = rng.counter_uniform(self.master_seed, stream[cell], 1 + n[cell] + m)
-        return np.column_stack([ij[cell, 0] + pos, ij[cell, 1] + time]), n
-
-    def cells(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        """Points of the unit cells [i0, i1) x [j0, j1) as an (n, 2) array,
-        drawn in one pass and not cached."""
         if i0 >= i1 or j0 >= j1:
             return np.empty((0, 2))
         i, j = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
-        return self._draw_cells(np.column_stack([i.ravel(), j.ravel()]))[0]
+        i, j = i.ravel(), j.ravel()
+        stream = rng.cell_stream(i, j)
+        u = rng.counter_uniform(self.master_seed, stream, 0)
+        n = np.minimum(np.searchsorted(_poisson_cdf(self.config.intensity), u, "left"),
+                       _POISSON_KMAX)
+        cell = np.repeat(np.arange(len(stream)), n)
+        m = np.arange(len(cell)) - (np.cumsum(n) - n)[cell]
+        pos = rng.counter_uniform(self.master_seed, stream[cell], 1 + m)
+        time = rng.counter_uniform(self.master_seed, stream[cell], 1 + n[cell] + m)
+        return np.column_stack([i[cell] + pos, j[cell] + time])
 
     def points_in(self, a: float, b: float, s: float, t: float) -> np.ndarray:
         """Points of the space-time Poisson process in [a,b] x [s,t].

@@ -316,6 +316,7 @@ def _validate(**section):
     ("validate", _validate(suite="growth", k=7), []),
     ("validate", _validate(suite="growth", gamma="1.5"), []),
     ("validate", _validate(suite="thresholds", n=0), []),
+    ("validate", _validate(suite="thresholds", n=2 ** 22 + 1), []),
     ("validate", _validate(suite="thresholds", n=100, epsilon=1.5), []),
     ("validate", _validate(suite="thresholds", n=100, epsilon=0), []),
     ("validate", _validate(suite="prop1", horizon=-1), []),
@@ -344,8 +345,8 @@ def _validate(**section):
         {"profile": {"value": "1.0"}}, {"space": "continuous"})),
 ], ids=["k-max-zero", "k-max-fraction", "gamma-string", "lemma1-k-zero", "lemma1-cycles-zero",
         "alpha-k-negative", "alpha-k-zero", "growth-k-zero", "growth-k-past-the-cap",
-        "growth-gamma-string", "thresholds-n-zero", "thresholds-epsilon-above-1",
-        "thresholds-epsilon-zero", "prop1-horizon-negative", "prop1-horizon-string",
+        "growth-gamma-string", "thresholds-n-zero", "thresholds-n-past-the-site-cap",
+        "thresholds-epsilon-above-1", "thresholds-epsilon-zero", "prop1-horizon-negative", "prop1-horizon-string",
         "prop1-targets-string", "permutation-x-zero", "permutation-not-of-1..x",
         "permutation-r-3", "t-values-zero", "t-values-negative", "t-values-empty",
         "t-values-string", "t-values-past-the-gap-budget",

@@ -37,21 +37,28 @@ def test_reach_matches_chain_definition_exhaustively(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_reach_event_identity_exhaustively(r):
-    """N >= n iff no vacant run of length r lies inside sites 1..n."""
+    """N >= n iff no vacant run of length r lies inside sites 1..n, also
+    for masks narrower than r, where no run fits.  The scan of all
+    patterns' ~occ[:n] as the rows of one 2-D mask, as the lattice engine
+    runs it, gives every row its 1-D index."""
     length = 10
-    for bits in itertools.product([False, True], repeat=length):
-        occ = np.array(bits, dtype=bool)
-        reach = green.reach_discrete(occ, r)
-        for n in range(1, length - r + 1):
-            vac = ~occ[:n]
-            no_run = green.first_vacant_run(vac, r) < 0
-            assert (reach >= n) == no_run, (r, n, bits)
+    patterns = np.array(list(itertools.product([False, True], repeat=length)))
+    reaches = [green.reach_discrete(occ, r) for occ in patterns]
+    for n in range(length - r + 1):
+        vac = ~patterns[:, :n]
+        rows = green.first_vacant_run(vac, r)
+        for occ, reach, row_vac, row in zip(patterns, reaches, vac, rows.tolist()):
+            j0 = green.first_vacant_run(row_vac, r)
+            assert (reach >= n) == (j0 < 0), (r, n, occ)
+            assert row == j0, (r, n, occ)
 
 
 def test_first_vacant_run_examples():
     assert green.first_vacant_run(np.array([False, True, True]), 2) == 1
     assert green.first_vacant_run(np.array([False, True, False]), 2) == -1
     assert green.first_vacant_run(np.array([True]), 1) == 0
+    rows = np.array([[False, True, True], [False, True, False], [True, True, True]])
+    assert green.first_vacant_run(rows, 2).tolist() == [1, -1, 0]
 
 
 def test_empty_configuration_reach():
@@ -97,13 +104,17 @@ def test_reach_monotone_in_time():
 
 
 def test_tau_green_is_first_passage():
+    """Also through `green_readers` at a fractional target x - 0.5, which a
+    lattice reach meets at site x, as a burn does."""
     cfg = ModelConfig(space="discrete", r=2, profile=RateProfile.constant(1.0))
     for seed in range(30):
         noise = NoiseField(replication_seed(12, seed), cfg)
+        tau_green = green.green_readers(noise, cfg, 10.0)[1]
         for x in (2, 5, 9):
-            tau = green.simulate_tau_green(noise, cfg, x)
-            assert green.simulate_N_green(noise, cfg, tau) >= x
-            assert green.simulate_N_green(noise, cfg, tau * (1 - 1e-9)) < x
+            for target, tau in ((x, green.simulate_tau_green(noise, cfg, x)),
+                                (x - 0.5, tau_green(x - 0.5))):
+                assert green.simulate_N_green(noise, cfg, tau) >= target
+                assert green.simulate_N_green(noise, cfg, tau * (1 - 1e-9)) < target
 
 
 def test_tau_green_trivial_below_range():

@@ -1,8 +1,10 @@
 """Source hygiene: every module-level import in firesim is read, every
-private name it defines is named somewhere else in it, and no module-level
-name is defined in two of its modules."""
+private name it defines is named somewhere else in it, no module-level
+name is defined in two of its modules, and every parameter default is
+passed by some caller."""
 
 import ast
+import math
 import pathlib
 
 import pytest
@@ -104,3 +106,72 @@ def test_no_name_defined_in_two_modules():
     """One constant, function or class has one home: two definitions can
     drift apart, as two site caps once did."""
     assert names_defined_twice({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+# every caller of the package's functions: the package, its tests and perfbench
+CALLERS = [*PACKAGE, *sorted(pathlib.Path(__file__).parent.glob("*.py")),
+           *sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))]
+
+
+def called_name(node):
+    """The name a call's function node ends in: f for f and for a.b.f."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def defaults_never_passed(definitions: dict, callers: list) -> list[str]:
+    """The parameters with defaults of the functions and methods defined in
+    `definitions` (module name -> source) that no call in the sources
+    `callers` passes, by keyword or by position, with their modules and
+    lines.  Calls match by the called name: a class call matches its
+    __init__, functools.partial(f, ...) calls f, and a call with *args or
+    **kwargs may pass every parameter."""
+    params = []    # (called name, parameter, position or None, module, line)
+    for module, source in definitions.items():
+        tree = ast.parse(source)
+        owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            name = owner[id(f)] if f.name == "__init__" and id(f) in owner else f.name
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in f.decorator_list)
+            args = f.args.posonlyargs + f.args.args
+            args = args[1:] if id(f) in owner and not static else args
+            first = len(args) - len(f.args.defaults)
+            params += [(name, a.arg, first + i, module, a.lineno)
+                       for i, a in enumerate(args[first:])]
+            params += [(name, a.arg, None, module, a.lineno)
+                       for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    positional, keywords = {}, {}   # called name -> most positional args / keyword names
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func, args = call.func, call.args
+            if called_name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = called_name(func)
+            many = any(isinstance(a, ast.Starred) for a in args)
+            positional[name] = max(positional.get(name, 0), math.inf if many else len(args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    return [f"{name}({param}) ({module}, line {line})"
+            for name, param, pos, module, line in params
+            if not (param in keywords.get(name, ()) or None in keywords.get(name, ())
+                    or pos is not None and positional.get(name, 0) > pos)]
+
+
+def test_defaults_never_passed_finds_only_unpassed_defaults():
+    definitions = {"a": "def f(x, y=1, *, z=2):\n    pass\nclass C:\n"
+                        "    def __init__(self, w=0):\n        pass\n"
+                        "    def m(self, v=3, u=4):\n        pass\n"
+                        "def g(s=5):\n    pass\n"}
+    callers = ["f(1, 2)\nC()\nC().m(5)\nfunctools.partial(f, z=0)\ng(**kw)\n"]
+    assert defaults_never_passed(definitions, callers) == ["C(w) (a, line 4)",
+                                                           "m(u) (a, line 6)"]
+
+
+def test_every_parameter_default_is_overridden():
+    """A default that every caller keeps is a constant in disguise."""
+    assert defaults_never_passed({p.name: p.read_text() for p in PACKAGE},
+                                 [p.read_text() for p in CALLERS]) == []

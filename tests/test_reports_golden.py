@@ -5,7 +5,8 @@ and the text `firesim` writes: the CSVs of `run` (and the trace CSV of
 `--emit-plot-data`) and of `sweep`, and the JSON reports of the `validate`
 suites prop1 (lattice and continuous), growth, lemma1, alpha_k and
 permutation.  Floats are written by repr, so comparing the texts with
-`==` compares every float exactly.  The headers hold the tool version and
+`==` compares every float exactly; the continuous trace pins the
+reaches of `_Continuum`, which no report shows to the last bit.  The headers hold the tool version and
 the config hash, so a version bump is a regeneration too.
 
 The suites that draw through numpy `Generator` distributions (thresholds,
@@ -44,7 +45,8 @@ CASES = {
     "run-periodic-r2": ("run", {"model": {"r": 2, "profile": PERIODIC}, "seed": 3, "reps": 30,
                                 "run": {"targets": [4, 37.5, 300], "time_cap": 40}}, []),
     "run-continuous": ("run", {"model": CONTINUOUS, "seed": 5, "reps": 8,
-                               "run": {"targets": [1.0, 2.0, 3.5], "time_cap": 8}}, []),
+                               "run": {"targets": [1.0, 2.0, 3.5], "time_cap": 8}},
+                       ["--emit-plot-data"]),
     "sweep": ("sweep", {"model": LATTICE, "seed": 11, "reps": 10,
                         "sweep": {"x_grid": [4, 16, 64, 256]}}, []),
     "prop1-lattice": _validate(LATTICE, 1, 3, suite="prop1", horizon=5, targets=[4, 16]),

@@ -204,11 +204,12 @@ def _rep_blocks(model: ModelConfig, reps: int, workers: int) -> list[range]:
 
 
 def _tau_block(args):
-    """tau_target of a block of replications, run in lockstep; NaN where a
-    replication raised CapExceeded or stopped at the time cap."""
-    config, target, seeds, time_cap = args
-    taus = experiments.first_burn_times(config, seeds, target, time_cap=time_cap)
-    return [math.nan if tau is None else tau for tau in taus]
+    """tau of each target for a block of replications, each run once to the
+    largest target, in lockstep: one list per target, NaN where a
+    replication raised CapExceeded or stopped at the time cap first."""
+    config, targets, seeds, time_cap = args
+    return [[math.nan if tau is None else tau for tau in taus]
+            for taus in experiments.first_burn_times(config, seeds, targets, time_cap=time_cap)]
 
 
 def _pmap(fn, args_list, workers: int):
@@ -231,17 +232,14 @@ def cmd_run(cfg: dict, args) -> int:
     targets = _targets(model, section.get("targets"), "run.targets")
     time_cap = _time_cap(section, "run")
     seed, reps = args.seed, args.reps
+    jobs = [(model, targets, [replication_seed(seed, i) for i in block], time_cap)
+            for block in _rep_blocks(model, reps, args.workers)]
     rows = []
-    any_censoring = False
-    for target in targets:
-        jobs = [(model, target, [replication_seed(seed, i) for i in block], time_cap)
-                for block in _rep_blocks(model, reps, args.workers)]
-        vals = np.concatenate(_pmap(_tau_block, jobs, args.workers))
+    for target, blocks in zip(targets, zip(*_pmap(_tau_block, jobs, args.workers))):
+        vals = np.concatenate(blocks)
         good = vals[~np.isnan(vals)]
-        censored = int(np.isnan(vals).sum())
-        any_censoring = any_censoring or censored > 0
         rows.append((f"tau_{target}", *experiments._mean_and_stderr(good),
-                     len(good), seed, censored))
+                     len(good), seed, len(vals) - len(good)))
     write_csv(args.out, _header(cfg, seed),
               ["quantity", "estimate", "stderr", "reps", "seed", "censored"], rows)
     if args.emit_plot_data:
@@ -252,7 +250,7 @@ def cmd_run(cfg: dict, args) -> int:
         out = (args.out + ".trace.csv") if args.out else None
         write_csv(out, _header(cfg, seed, ["burn events of replication 0"]),
                   ["time", "rightmost", "censored"], ev_rows)
-    return 3 if any_censoring else 0
+    return 3 if any(row[-1] for row in rows) else 0
 
 
 def cmd_schedule(cfg: dict, args) -> int:
@@ -322,7 +320,7 @@ def cmd_validate(cfg: dict, args) -> int:
     elif suite == "permutation":
         if model.r != 1:
             raise ConfigError(f"suite 'permutation' checks r = 1 only; got model.r = {model.r}")
-        x = _integer(section.get("x", 4), "validate.x", 1)
+        x = _integer(section.get("x", 4), "validate.x", 1, most=fire.DEFAULT_SITE_CAP)
         perm = section.get("permutation")
         if not (isinstance(perm, list) and len(perm) == x
                 and all(type(v) is int for v in perm) and sorted(perm) == list(range(1, x + 1))):

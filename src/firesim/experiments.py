@@ -66,13 +66,16 @@ def _mean_and_stderr(vals) -> tuple[float, float]:
     return mean, stderr
 
 
-def first_burn_times(config: ModelConfig, seeds, x, **kwargs) -> list:
-    """tau_x of each replication seeded by `seeds` on the memoryless
-    lattice state, run in lockstep; None where the run raised CapExceeded
-    or stopped at the time cap before burning x."""
+def first_burn_times(config: ModelConfig, seeds, targets, **kwargs) -> list:
+    """tau_x of each replication seeded by `seeds`, one list per target x of
+    `targets`, in order: each replication runs once, to the largest target,
+    on the memoryless lattice state in lockstep, and every smaller tau_x is
+    that of a run to x alone.  None where the run raised CapExceeded or
+    stopped at the time cap before burning x."""
     noises = [NoiseField(seed, config) for seed in seeds]
-    return [None if isinstance(res, CapExceeded) or not res.complete else res.tau[x]
-            for res in fire.run_fires(noises, config, targets=[x], coupled=False, **kwargs)]
+    runs = fire.run_fires(noises, config, targets=targets, coupled=False, **kwargs)
+    return [[None if isinstance(res, CapExceeded) else res.tau.get(x) for res in runs]
+            for x in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +448,8 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
     for x in x_grid:
         key = math.ceil(x) if config.space == "discrete" else int(np.float64(x).view(np.uint64))
         row_seed = replication_seed(master_seed, key)
-        taus = first_burn_times(config, [replication_seed(row_seed, i) for i in range(reps)], x,
-                            time_cap=time_cap)
+        (taus,) = first_burn_times(config, [replication_seed(row_seed, i) for i in range(reps)],
+                                   [x], time_cap=time_cap)
         vals = [tau for tau in taus if tau is not None]
         censored = reps - len(vals)
         mean, stderr = _mean_and_stderr(vals)
@@ -493,8 +496,8 @@ def validate_permutation(profile: RateProfile, x: int, permutation, reps: int,
 
     seeds = [replication_seed(master_seed, i) for i in range(reps)]
     (mean_o, se_o), (mean_p, se_p) = (
-        _mean_and_stderr([tau for tau in first_burn_times(config, seeds, x) if tau is not None])
-        for config in (config_o, config_p))
+        _mean_and_stderr([tau for tau in first_burn_times(cfg, seeds, [x])[0] if tau is not None])
+        for cfg in (config_o, config_p))
     sigma = math.hypot(se_o, se_p)
     return {
         "suite": "permutation",

@@ -39,7 +39,9 @@ exhausts the window is recorded with reach equal to the window size (on
 the continuous model, the reach of its chain inside the window) and
 flagged.  Everything the window covers stays exact, because burning [0, W]
 has the same effect on sites <= W regardless of how far the true reach
-extends.
+extends.  A fire run's window comes from its targets, about twice the
+largest, so one run to the largest target gives every smaller target's
+first-burn time; a blue run's comes from n_k.
 """
 
 from __future__ import annotations
@@ -279,18 +281,15 @@ class _Paired(_Lattice):
 
 
 def _window(config: ModelConfig, targets, reach_window, site_cap):
-    """The scan cap: a window of about twice the largest target or
-    `reach_window`, within site_cap; site_cap without either.  A lattice
-    window is a power of two of at least 256 sites."""
-    if not targets and reach_window is None:
+    """The scan cap: a window of about twice the largest target, within
+    site_cap; site_cap without targets.  A lattice window is a power of two
+    of at least 256 sites and of at least `reach_window`, which only a blue
+    run sets."""
+    if not targets:
         return site_cap
     if config.space == "continuous":
-        return min(max(64.0, 2.0 * max(targets, default=0.0), reach_window or 0.0), site_cap)
-    need = 256
-    if targets:
-        need = max(need, 2 * int(max(targets)) + 64)
-    if reach_window is not None:
-        need = max(need, int(reach_window))
+        return min(max(64.0, 2.0 * max(targets)), site_cap)
+    need = max(256, 2 * int(max(targets)) + 64, reach_window or 0)
     return min(1 << int(np.ceil(np.log2(need))), site_cap)
 
 
@@ -300,11 +299,12 @@ def _keep(state, live: list, keep: np.ndarray) -> list:
     return [row for row, kept in zip(live, keep) if kept]
 
 
-def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
+def _run_rows(state, targets: list, time_cap: float, cap) -> list:
     """Step every row of `state` through its ignitions up to time_cap until
     its targets are burnt; one FireTrace per row, or the CapExceeded that
-    ended it.  Rows that finish are dropped from the state while others
-    go on; the loop ends when all have finished."""
+    ended it: a censored burn that does not meet every target left.  Rows
+    that finish are dropped from the state while others go on; the loop
+    ends when all have finished."""
     traces: list = [FireTrace() for _ in range(state.rows)]
     unmet = [list(targets) for _ in traces]
     u_max = [0] * len(traces)
@@ -325,7 +325,7 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
         done = []      # positions of the rows that finished at this step
         for i, (row, ti, ri, ci) in enumerate(zip(live, ts, reach, censored)):
             trace, todo = traces[row], unmet[row]
-            if ci and reach_window is None and not (todo and ri >= todo[-1]):
+            if ci and not (todo and ri >= todo[-1]):
                 traces[row] = CapExceeded(f"window cap {cap} exceeded")
                 done.append(i)
                 continue
@@ -347,28 +347,27 @@ def _run_rows(state, targets: list, time_cap: float, reach_window, cap) -> list:
     return traces
 
 
-def _targets_and_window(config: ModelConfig, targets, reach_window, site_cap):
+def _targets_and_window(config: ModelConfig, targets, site_cap):
     """The sorted, checked targets and the scan cap of a run."""
     continuous = config.space == "continuous"
     targets = sorted({float(x) for x in targets} if continuous else set(targets))
     if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
         raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
-    return targets, _window(config, targets, reach_window, site_cap)
+    return targets, _window(config, targets, None, site_cap)
 
 
 def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
              time_cap: float = DEFAULT_TIME_CAP,
-             reach_window: int | None = None,
              site_cap: int = DEFAULT_SITE_CAP,
              coupled: bool = True) -> FireTrace:
     """Simulate the fire process until every target is burnt (or a cap hits).
 
-    With targets, the scan is capped at a window of about twice the largest
-    target, and a burn that passes it is recorded censored at the window.
-    With `reach_window` set, every burn reach is right-censored at that
-    window; targets must then lie inside the window.  Otherwise a burn
-    passing `site_cap` raises CapExceeded.  On the continuous model the
-    window and caps are lengths.
+    The targets set the window: the scan is capped at about twice the
+    largest target, and a burn that passes it is recorded censored at the
+    window, where it meets every target.  Every burn before tau_x reaches
+    below x, so a run to several targets gives each the tau_x of a run to
+    x alone.  Without targets a burn passing `site_cap` raises
+    CapExceeded.  On the continuous model the window and caps are lengths.
 
     `coupled=False` runs the lattice on the memoryless state: the same law
     from about a tenth of the draws, but not a function of the site
@@ -378,12 +377,11 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     replication.
     """
     if config.space == "continuous":
-        targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
-        (trace,) = _run_rows(_Continuum(noise, config, cap, time_cap),
-                             targets, time_cap, reach_window, cap)
+        targets, cap = _targets_and_window(config, targets, site_cap)
+        (trace,) = _run_rows(_Continuum(noise, config, cap, time_cap), targets, time_cap, cap)
     else:
         (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
-                             reach_window=reach_window, site_cap=site_cap, coupled=coupled)
+                             site_cap=site_cap, coupled=coupled)
     if isinstance(trace, CapExceeded):
         raise trace
     return trace
@@ -391,7 +389,6 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
 
 def run_fires(noises, config: ModelConfig, targets=(), *,
               time_cap: float = DEFAULT_TIME_CAP,
-              reach_window: int | None = None,
               site_cap: int = DEFAULT_SITE_CAP,
               coupled: bool = True) -> list:
     """`run_fire` on each noise field of the sequence `noises` (all of
@@ -405,21 +402,21 @@ def run_fires(noises, config: ModelConfig, targets=(), *,
     each continuous replication is one `run_fire` call, the unit in which
     perfbench's tracer counts runs, burn events and failures.
     """
-    kwargs = dict(time_cap=time_cap, reach_window=reach_window, site_cap=site_cap)
     if config.space == "continuous":
         out = []
         for noise in noises:
             try:
-                out.append(run_fire(noise, config, targets, **kwargs))
+                out.append(run_fire(noise, config, targets, time_cap=time_cap,
+                                    site_cap=site_cap))
             except CapExceeded as exc:
                 out.append(exc)
         return out
-    targets, cap = _targets_and_window(config, targets, reach_window, site_cap)
+    targets, cap = _targets_and_window(config, targets, site_cap)
     block = max(1, _CELLS // cap)
     kind = _Lattice if coupled else _Memoryless
     return [res for lo in range(0, len(noises), block)
             for res in _run_rows(kind(noises[lo:lo + block], config.r, cap),
-                                 targets, time_cap, reach_window, cap)]
+                                 targets, time_cap, cap)]
 
 
 def _run_pairs(state: _Paired, n_k: int, cycles: int, time_cap: float) -> list:
@@ -491,27 +488,23 @@ def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
     return recs
 
 
-def detect_gap_event(noise: NoiseField, config: ModelConfig, span, start: float,
+def detect_gap_event(noise: NoiseField, config: ModelConfig, span: int, start: float,
                      duration: float) -> bool:
-    """True iff some length-r site window (continuous: length-connect
-    subinterval) inside (0, span] has no arrivals in [start, start+duration).
+    """True iff some r consecutive sites inside 1..span have no arrivals in
+    [start, start+duration).
 
     This is the defining event of the renewal-obstruction in the coupling
-    argument, evaluated on the green process restarted at `start`.
+    argument, evaluated on the green process restarted at `start`.  Like
+    the blue experiment that finds its times, it is defined on the lattice.
     """
+    if config.space == "continuous":
+        raise NotImplementedError("gap event is defined for the lattice model")
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if duration == 0:
         return True
-    if config.space == "discrete":
-        span = int(span)
-        if span < config.r:
-            raise ValueError("span must be >= r")
-        nxt = noise.next_arrivals_after(1, span + 1, start)
-        quiet = nxt >= start + duration
-        return first_vacant_run(quiet, config.r) >= 0
-    pts = noise.points_in(0.0, float(span), start, start + duration)
-    ts = pts[:, 1]
-    xs = np.sort(pts[(ts >= start) & (ts < start + duration), 0])
-    edges = np.concatenate([[0.0], xs, [float(span)]])
-    return bool(np.max(np.diff(edges)) >= config.connect_distance)
+    span = int(span)
+    if span < config.r:
+        raise ValueError("span must be >= r")
+    quiet = noise.next_arrivals_after(1, span + 1, start) >= start + duration
+    return first_vacant_run(quiet, config.r) >= 0

@@ -167,8 +167,9 @@ class NoiseField:
     Continuous: a space-time Poisson point set of the configured intensity,
     generated per unit cell from (master_seed, cell), so window growth
     never reshuffles previously exposed points.  `cells` draws a block of
-    whole cells in one pass and `points_in` reads a rectangle through it;
-    nothing is cached.
+    whole cells in one pass, and the engine reads only through it;
+    `points_in` reads a rectangle through it, the plain reader the tests
+    check the engine against.  Nothing is cached.
     """
 
     def __init__(self, master_seed: int, config: ModelConfig):

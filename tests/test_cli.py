@@ -373,6 +373,18 @@ def test_validate_cap_exceeded_exit_2(tmp_path, monkeypatch, capsys):
     assert "cap exceeded" in err and "horizon" in err
 
 
+def test_validate_permutation_x_past_the_site_cap_exit_2(tmp_path, monkeypatch, capsys):
+    """`validate.x` is bounded by the site cap, as `validate.n` is: the
+    permuted profile holds the rates of sites 0..cap only, so a larger x
+    with a full permutation would index past them.  The cap is lowered to
+    64 sites so the config stays small."""
+    monkeypatch.setattr(fire, "DEFAULT_SITE_CAP", 64)
+    cfg = write_cfg(tmp_path, "c.json", {"reps": 4, "validate": {
+        "suite": "permutation", "x": 65, "permutation": list(range(65, 0, -1))}})
+    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "validate.x" in capsys.readouterr().err
+
+
 def test_validate_unknown_suite_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"validate": {"suite": "made-up"}})
     assert cli.main(["validate", "--config", cfg]) == 2

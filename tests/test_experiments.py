@@ -110,15 +110,16 @@ def test_mean_and_stderr():
 
 def test_first_burn_times_deterministic():
     seeds = [replication_seed(9, i) for i in range(50)]
-    a = experiments.first_burn_times(TAU_CFG, seeds, 4)
-    assert a == experiments.first_burn_times(TAU_CFG, seeds, 4)
+    (a,) = experiments.first_burn_times(TAU_CFG, seeds, [4])
+    assert [a] == experiments.first_burn_times(TAU_CFG, seeds, [4])
     assert all(tau is not None and tau > 0 for tau in a)
 
 
 def test_first_burn_times_tau1_exponential():
     # site 1 first burns at the first ignition after its own first arrival,
     # so tau_1 = Exp(1) + Exp(1) by memorylessness and E tau_1 = 2
-    taus = experiments.first_burn_times(TAU_CFG, [replication_seed(23, i) for i in range(3000)], 1)
+    (taus,) = experiments.first_burn_times(
+        TAU_CFG, [replication_seed(23, i) for i in range(3000)], [1])
     mean, stderr = experiments._mean_and_stderr(taus)
     assert abs(mean - 2.0) < 3 * stderr
 
@@ -127,7 +128,7 @@ def test_first_burn_times_marks_censoring():
     """None exactly where the run alone stopped at the time cap before
     burning x, or raised CapExceeded."""
     seeds = [replication_seed(0, i) for i in range(30)]
-    taus = experiments.first_burn_times(TAU_CFG, seeds, 3, time_cap=3.0)
+    (taus,) = experiments.first_burn_times(TAU_CFG, seeds, [3], time_cap=3.0)
     alone = [fire.run_fire(NoiseField(seed, TAU_CFG), TAU_CFG, targets=[3], time_cap=3.0,
                            coupled=False) for seed in seeds]
     assert taus == [run.tau[3] if run.complete else None for run in alone]
@@ -135,7 +136,26 @@ def test_first_burn_times_marks_censoring():
     with pytest.raises(CapExceeded):
         fire.run_fire(NoiseField(seeds[0], TAU_CFG), TAU_CFG, targets=[3], site_cap=2,
                       coupled=False)
-    assert experiments.first_burn_times(TAU_CFG, seeds, 3, site_cap=2) == [None] * 30
+    assert experiments.first_burn_times(TAU_CFG, seeds, [3], site_cap=2) == [[None] * 30]
+
+
+@pytest.mark.parametrize("cfg,targets,time_cap", [
+    (TAU_CFG, [4, 37.5, 300], 8.0),
+    (ModelConfig(space="discrete", r=3,
+                 profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3)), [4, 37.5, 300], 3.0),
+    (ModelConfig(space="continuous"), [1.0, 2.0, 3.5], 5.0),
+], ids=["r1-constant", "r3-periodic", "continuous"])
+def test_first_burn_times_of_many_targets_equal_one_target_runs(cfg, targets, time_cap):
+    """One run per replication to the largest target gives every target the
+    tau of a run to it alone, also where the time cap leaves the largest
+    target unmet, and listed out of order."""
+    seeds = [replication_seed(31, i) for i in range(20)]
+    many = experiments.first_burn_times(cfg, seeds, targets[::-1], time_cap=time_cap)[::-1]
+    assert many == [experiments.first_burn_times(cfg, seeds, [x], time_cap=time_cap)[0]
+                    for x in targets]
+    first, last = many[0], many[-1]
+    assert any(a is not None and c is None for a, c in zip(first, last))
+    assert any(c is not None for c in last)
 
 
 # ---------------------------------------------------------------------------

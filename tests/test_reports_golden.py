@@ -3,15 +3,18 @@
 `tests/data/reports_golden.json` holds, for each case below, the exit code
 and the text `firesim` writes: the CSVs of `run` (and the trace CSV of
 `--emit-plot-data`) and of `sweep`, and the JSON reports of the `validate`
-suites prop1 (lattice and continuous), growth, lemma1, alpha_k and
-permutation.  Floats are written by repr, so comparing the texts with
+suites prop1 (lattice and continuous), growth, lemma1, alpha_k,
+permutation, thresholds and continuous-moments.  Floats are written by repr, so comparing the texts with
 `==` compares every float exactly; the continuous trace pins the
 reaches of `_Continuum`, which no report shows to the last bit.  The headers hold the tool version and
 the config hash, so a version bump is a regeneration too.
 
 The suites that draw through numpy `Generator` distributions (thresholds,
-continuous-moments) are left out: numpy does not promise to keep those
-streams across releases.
+continuous-moments) depend on numpy too, which does not promise to keep
+those streams across releases, so the file records the numpy version that
+made it and those cases fail, naming both versions, under another one.
+continuous-moments runs at criterion 10's size, where t = 3 draws about
+1.9 M gaps.
 
 Regenerate (only when the pinned behaviour is meant to change) with
 
@@ -22,6 +25,7 @@ import json
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 
 from firesim import cli
@@ -59,7 +63,11 @@ CASES = {
     "alpha_k": _validate(LATTICE, 7, 10, suite="alpha_k", gamma=1.5, k=2),
     "permutation": _validate({"profile": PERIODIC}, 8, 20, suite="permutation", x=4,
                              permutation=[2, 4, 1, 3]),
+    "thresholds": _validate(LATTICE, 9, 2000, suite="thresholds", n=1000, epsilon=0.2),
+    "continuous-moments": _validate(CONTINUOUS, 10, 10**5, suite="continuous-moments",
+                                    t_values=[1.0, 2.0, 3.0]),
 }
+GENERATOR_CASES = {"thresholds", "continuous-moments"}
 
 
 def _output(name: str, tmp: pathlib.Path) -> dict:
@@ -83,10 +91,14 @@ def golden():
 
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(golden, tmp_path, name):
+    if name in GENERATOR_CASES:
+        assert golden["numpy"] == np.__version__, (
+            f"{name} was pinned under numpy {golden['numpy']}, this is numpy {np.__version__}")
     assert _output(name, tmp_path) == golden[name]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         out = {name: _output(name, pathlib.Path(tmp)) for name in CASES}
+    out["numpy"] = np.__version__
     DATA.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

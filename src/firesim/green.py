@@ -30,7 +30,8 @@ from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
 
 DEFAULT_SITE_CAP = 1 << 22
 DEFAULT_TIME_CAP = 1e4
-_GAP_BUDGET = 8_000_000    # gaps drawn at once by sample_green_reach_cont
+_GAP_BUDGET = 1 << 18      # gaps sample_green_reach_cont draws at once: 16 bytes a gap
+                           # (the gap and its replication index), 4 MiB in all
 _COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
 
 
@@ -64,15 +65,16 @@ def reach_discrete(occupied: np.ndarray, r: int) -> int:
 def _first_run_reach(vacant, r: int, site_cap: int) -> int:
     """Green reach from `vacant(lo, hi)`, the vacancy of sites lo..hi-1 as a
     bool array, read in doubling blocks from 256 sites until the first
-    vacant run of length r appears."""
+    vacant run of length r appears; a later block keeps the last r - 1
+    sites of the one before, as a run may straddle them."""
     lo, size = 1, 256
-    carry = np.empty(0, dtype=bool)
+    v = np.empty(0, dtype=bool)
     while lo + size <= site_cap + 256:
-        v = np.concatenate([carry, vacant(lo, lo + size)])
+        block = vacant(lo, lo + size)
+        v = np.concatenate([v[len(v) - (r - 1):], block]) if len(v) else block
         j0 = first_vacant_run(v, r)
         if j0 >= 0:
-            return (lo - len(carry)) + j0 + r - 2
-        carry = v[len(v) - (r - 1):]
+            return (lo + size - len(v)) + j0 + r - 2
         lo += size
         size *= 2
     raise CapExceeded(f"no vacant run of length {r} within {site_cap} sites")
@@ -272,8 +274,12 @@ def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int) -> n
     m = rng_.geometric(p_stop, size=size) - 1          # number of gaps <= 1
     out = np.empty(size, dtype=float)
 
-    def gaps(n):    # n truncated Exp(t) on (0, 1], via inverse cdf
-        return -np.log1p(-rng_.random(n) * (1.0 - p_stop)) / t
+    def gaps(n):    # n truncated Exp(t) on (0, 1], via inverse cdf, formed in place
+        u = rng_.random(n)
+        u *= -(1.0 - p_stop)     # sign flips are exact: the floats of -log1p(-u (1 - p)) / t
+        np.log1p(u, out=u)
+        u /= -t
+        return u
 
     # chunk replications so the flattened gap array stays modest: each chunk
     # takes the longest run of replications whose gaps fit the budget, or one

@@ -2,12 +2,15 @@
 
 `tests/data/reports_golden.json` holds, for each case below, the exit code
 and the text `firesim` writes: the CSVs of `run` (and the trace CSV of
-`--emit-plot-data`) and of `sweep`, and the JSON reports of the `validate`
-suites prop1 (lattice and continuous), growth, lemma1, alpha_k,
-permutation, thresholds and continuous-moments.  Floats are written by repr, so comparing the texts with
-`==` compares every float exactly; the continuous trace pins the
-reaches of `_Continuum`, which no report shows to the last bit.  The headers hold the tool version and
-the config hash, so a version bump is a regeneration too.
+`--emit-plot-data`), of `sweep` (lattice and continuous) and of
+`schedule` (a whole ladder, and one cut short by the site cap, which pins
+the T_k of `_brentq`), and the JSON reports of the `validate` suites prop1
+(lattice and continuous), growth, lemma1, alpha_k, permutation, thresholds
+and continuous-moments.  Floats are written by repr, so comparing the texts
+with `==` compares every float exactly; the continuous trace pins the
+reaches of `_Continuum`, which no report shows to the last bit.  The
+headers hold the tool version and the config hash, so a version bump is a
+regeneration too.
 
 The suites that draw through numpy `Generator` distributions (thresholds,
 continuous-moments) depend on numpy too, which does not promise to keep
@@ -53,6 +56,12 @@ CASES = {
                        ["--emit-plot-data"]),
     "sweep": ("sweep", {"model": LATTICE, "seed": 11, "reps": 10,
                         "sweep": {"x_grid": [4, 16, 64, 256]}}, []),
+    "sweep-continuous": ("sweep", {"model": CONTINUOUS, "seed": 12, "reps": 6,
+                                   "sweep": {"x_grid": [1.5, 2.0, 3.5], "time_cap": 8}}, []),
+    "schedule": ("schedule", {"model": LATTICE, "seed": 13,
+                              "schedule": {"gamma": 1.5, "k_max": 5}}, []),
+    "schedule-partial": ("schedule", {"model": LATTICE, "seed": 14,
+                                      "schedule": {"gamma": 1.9, "k_max": 30}}, []),
     "prop1-lattice": _validate(LATTICE, 1, 3, suite="prop1", horizon=5, targets=[4, 16]),
     "prop1-lattice-r3": _validate({"r": 3, "profile": PERIODIC}, 2, 3, suite="prop1",
                                   horizon=4, targets=[4, 16]),

@@ -16,7 +16,6 @@ and matches both the brute-force event count and the r=2 closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -230,32 +229,26 @@ def p_n_dp(profile: RateProfile, r: int, n: int, t: float) -> float:
     return float(np.sum(state))
 
 
-@lru_cache(maxsize=32)
-def _enumeration_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per occupancy pattern m in 0..2^n-1: (vacancy indicators as a float
-    (2^n, n) matrix, longest vacant run as an int (2^n,) vector)."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    vacant = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1) == 0
-    run = np.zeros(1 << n, dtype=np.int64)
-    best = np.zeros(1 << n, dtype=np.int64)
-    for x in range(n):
-        run = np.where(vacant[:, x], run + 1, 0)
-        np.maximum(best, run, out=best)
-    return vacant.astype(np.float64), best
-
-
 def p_n_bruteforce(profile: RateProfile, r: int, n: int, t: float) -> float:
-    """Ground-truth p_n by enumerating all 2^n occupancy patterns."""
+    """Ground-truth p_n by enumerating all 2^n occupancy patterns, built
+    site by site: pattern m has site i vacant iff bit i-1 of m is 0."""
     if n > 20:
         raise ValueError("brute force limited to n <= 20")
     if n < 0:
         raise ValueError("need n >= 0")
     if n < r:
         return 1.0
-    q = np.exp(-profile.rates(1, n + 1) * t)
-    vacant, max_run = _enumeration_table(n)
-    log_prob = vacant @ (np.log(q) - np.log1p(-q)) + np.log1p(-q).sum()
-    return float(np.exp(log_prob[max_run < r]).sum())
+    log_prob = np.zeros(1 << n)
+    run = np.zeros(1 << n, dtype=np.int8)    # trailing vacant run
+    best = np.zeros(1 << n, dtype=np.int8)   # longest vacant run
+    for x, q in enumerate(np.exp(-profile.rates(1, n + 1) * t)):
+        h = 1 << x   # patterns [h, 2h) take site x+1 occupied, [0, h) vacant
+        log_prob[h:2 * h] = log_prob[:h] + np.log1p(-q)
+        best[h:2 * h] = best[:h]
+        log_prob[:h] += np.log(q)
+        run[:h] += 1
+        np.maximum(best[:h], run[:h], out=best[:h])
+    return float(np.exp(log_prob[best < r]).sum())
 
 
 def char_root(alpha: float, r: int) -> float:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytic, experiments, fire
-from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
+from .model import CapExceeded, ModelConfig, NoiseField, ProfileTooShort, RateProfile
 from .rng import replication_seed
 
 
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
         handler = {"run": cmd_run, "validate": cmd_validate,
                    "schedule": cmd_schedule, "sweep": cmd_sweep}[args.command]
         return handler(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, ProfileTooShort) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

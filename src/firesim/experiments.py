@@ -462,8 +462,10 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
         })
         if x > 1 and vals:
             min_ratio = min(min_ratio, min(vals) / math.log(x))
-    # the fit uses the rows with data, i.e. a finite mean
-    fit = [(row["x"], row["mean_tau"]) for row in rows if not math.isnan(row["mean_tau"])]
+    # the fit uses the rows where log log x is finite (x > 1) and that have
+    # data, i.e. a finite mean
+    fit = [(row["x"], row["mean_tau"]) for row in rows
+           if row["x"] > 1 and not math.isnan(row["mean_tau"])]
     kappa = math.nan
     if len(fit) >= 2:
         xs, means = np.array(fit, dtype=float).T

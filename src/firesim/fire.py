@@ -92,10 +92,6 @@ class RenewalRecord:
     censored_B: bool = False   # rho_i right-censored at the window
     censored_F: bool = False   # rho_F_i right-censored at the window
 
-    @property
-    def censored(self) -> bool:
-        return self.censored_B or self.censored_F
-
 
 # ---------------------------------------------------------------------------
 # discrete engine

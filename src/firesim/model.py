@@ -25,6 +25,10 @@ class CapExceeded(Exception):
     """
 
 
+class ProfileTooShort(ValueError):
+    """An explicit profile was asked for a site past its last value."""
+
+
 @dataclass(frozen=True)
 class RateProfile:
     """Occupation-rate sequence {lambda_x}, uniformly bounded in [c1, c2]."""
@@ -84,7 +88,7 @@ class RateProfile:
             return np.full(n, self.values[0], dtype=float)
         if self.kind == "explicit":
             if stop > len(self.values):
-                raise ValueError(
+                raise ProfileTooShort(
                     f"explicit profile has {len(self.values)} values, site {stop - 1} requested")
             return np.asarray(self.values[start:stop], dtype=float)
         if self.kind == "periodic":

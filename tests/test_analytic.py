@@ -1,6 +1,7 @@
 """Closed forms, oracles and the time ladder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,30 @@ def test_dp_nonhomogeneous_vs_bruteforce():
                 assert analytic.p_n_dp(prof, r, n, t) == \
                     pytest.approx(analytic.p_n_bruteforce(prof, r, n, t),
                                   abs=1e-12)
+
+
+def test_bruteforce_at_its_limit_keeps_no_memory():
+    """At n = 20 the brute force holds 2^20 patterns: a float64 log
+    probability and two int8 run lengths each, 10 MiB in all.  It agrees
+    with the DP there, keeps nothing once it returns, and refuses n = 21.
+    Tracing that is already on is kept, and only the growth past what it
+    holds at the start counts."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for r in (1, 2, 3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            p = analytic.p_n_bruteforce(HOMOG, r, 20, 1.0)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+            assert p == pytest.approx(analytic.p_n_dp(HOMOG, r, 20, 1.0), abs=1e-12)
+            assert kept < 2**20, f"r = {r}: kept {kept / 2**20:.1f} MiB"
+            assert peak < 24 * 2**20, f"r = {r}: traced peak {peak / 2**20:.1f} MiB"
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    with pytest.raises(ValueError, match="n <= 20"):
+        analytic.p_n_bruteforce(HOMOG, 2, 21, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,44 @@ def test_sweep_output(tmp_path):
     assert len(data) == 2
 
 
+@pytest.mark.parametrize("model,grid,fitted", [
+    ({"r": 1}, [1, 4, 16], [4, 16]),
+    ({"space": "continuous"}, [0.5, 1.0, 2.0, 3.5], [2.0, 3.5]),
+], ids=["lattice", "continuous"])
+def test_sweep_fits_kappa_on_x_above_1(tmp_path, capfd, model, grid, fitted):
+    """log log x is not finite at x <= 1, so those rows stay in the CSV but
+    not in the fit; rows are seeded by (seed, x, i), so kappa_hat is that
+    of the grid without them."""
+    outs = []
+    for x_grid in (grid, fitted):
+        cfg = write_cfg(tmp_path, "c.json", {"model": model, "seed": 3, "reps": 5,
+                                             "sweep": {"x_grid": x_grid, "time_cap": 20}})
+        out = tmp_path / "w.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) in (0, 3)
+        outs.append(out.read_text().splitlines())
+    kappa = [next(ln for ln in lines if ln.startswith("# kappa_hat")) for lines in outs]
+    assert kappa[0] == kappa[1] and math.isfinite(float(kappa[0].split()[-1]))
+    assert len(outs[0]) - len(outs[1]) == len(grid) - len(fitted)
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command,section", [
+    ("run", {"run": {"targets": [16]}}),
+    ("sweep", {"sweep": {"x_grid": [4, 16]}}),
+    ("schedule", {"schedule": {"gamma": 1.5, "k_max": 5}}),
+    ("validate", {"validate": {"suite": "prop1"}}),
+    ("validate", {"validate": {"suite": "thresholds", "n": 100}}),
+    ("validate", {"validate": {"suite": "lemma1", "k": 2, "cycles": 5}}),
+    ("validate", {"validate": {"suite": "permutation", "x": 4, "permutation": [2, 4, 1, 3]}}),
+], ids=["run", "sweep", "schedule", "prop1", "thresholds", "lemma1", "permutation"])
+def test_explicit_profile_too_short_exit_2(tmp_path, capsys, command, section):
+    profile = {"kind": "explicit", "values": [1.0, 1.0, 1.0], "c1": 1, "c2": 1}
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"profile": profile}, "reps": 4, **section})
+    assert cli.main([command, "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "o.txt")]) == 2
+    assert "explicit profile has 3 values, site" in capsys.readouterr().err
+
+
 def test_emit_plot_data(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {**BASE, "run": {"targets": [4]}})
     out = str(tmp_path / "o.csv")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -167,18 +168,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write(path: str | None, body: str) -> None:
+    """Write `body` to the file `path`, or to stdout without one."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(body)
+
+
 def write_csv(path: str | None, comments: list[str], columns: list[str],
               rows: list[tuple]) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    body = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _header(cfg: dict, seed: int, extra: list[str] = ()) -> list[str]:
@@ -335,12 +337,7 @@ def cmd_validate(cfg: dict, args) -> int:
         report = experiments.validate_continuous_moments(t_values, reps, seed)
     doc = {"firesim": __version__, "config_hash": config_hash(cfg),
            "master_seed": seed, "report": report}
-    body = json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(args.out, json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n")
     return 0 if report.get("pass", True) else 3
 
 

@@ -152,7 +152,8 @@ def sample_vacant_run_within(rng_: np.random.Generator, profile: RateProfile,
 def validate_prop1(config: ModelConfig, horizon: float, reps: int,
                    master_seed: int, targets=()) -> dict:
     """Pathwise coupling check: tau_x >= tau_green_x for every target and
-    the fire reach equals the green reach at every record time."""
+    the fire reach equals the green reach at every record time.  A lattice
+    target x is read at the site ceil(x) a burn meets."""
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     tau_viol = 0
@@ -161,8 +162,17 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     taus_checked = 0
     for i in range(reps):
         noise = NoiseField(replication_seed(master_seed, i), config)
-        trace = fire.run_fire(noise, config, targets=(), time_cap=horizon)
-        n_green, tau_green = green.green_readers(noise, config, horizon)
+        if config.space == "discrete":
+            trace = fire.run_fire(noise, config, targets=(), time_cap=horizon)
+            n_green = lambda t: green.simulate_N_green(noise, config, t)
+            tau_green = lambda x: green.simulate_tau_green(noise, config, math.ceil(x))
+        else:
+            # one state: the fire loop marks the trees it burns, the green process reads all
+            state = green._Continuum(noise, config, fire.DEFAULT_SITE_CAP, horizon)
+            (trace,) = fire._run_rows(state, [], horizon, fire.DEFAULT_SITE_CAP)
+            if isinstance(trace, CapExceeded):
+                raise trace
+            n_green, tau_green = state.green, state.first_passage
         for x in targets:
             tau_x = next((ev.time for ev in trace.events if ev.rightmost >= x), None)
             if tau_x is None:
@@ -388,16 +398,14 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
         tau_k1.append(t_k1)
         M.append(sum(1 for ev in trace.events
                      if ev.rightmost >= n_k and ev.time <= t_k1))
-    tau_k = np.asarray(tau_k)
-    tau_k1 = np.asarray(tau_k1)
-    M = np.asarray(M, dtype=float)
-    npts = len(M)
-    a, b, m = tau_k1.mean(), tau_k.mean(), M.mean()
+    npts = len(M)    # rows tau_{k+1}, tau_k, M; NaN under two, which give no covariance
+    data = np.array([tau_k1, tau_k, M] if npts > 1 else np.full((3, 2), math.nan), dtype=float)
+    a, b, m = data.mean(axis=1)
     ratio = a / b
     ratio_bound = math.e + 0.5
     # identity gap  E tau_{k+1} - E tau_k * E M  via the delta method with
     # the full covariance of the three sample means
-    cov = np.cov(np.vstack([tau_k1, tau_k, M]))
+    cov = np.cov(data)
     grad = np.array([1.0, -m, -b])
     gap = a - b * m
     gap_sigma = float(np.sqrt(grad @ cov @ grad / npts))
@@ -405,7 +413,7 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
     p_a = []
     i = 1
     while True:
-        p = float((M > i).mean())
+        p = float((data[2] > i).mean())
         if p == 0.0:
             break
         p_a.append(p)

@@ -31,8 +31,9 @@ renewal replications so, each as a fire row and its blue twin (`_Paired`),
 and advances a site both burn at one ignition once; `run_blue_experiment`
 is its batch of one.  The continuous state, `green._Continuum`, is itself
 a one-row state of the same step interface, which `run_fire` hands to the
-same loop, one replication at a time; without burns it is the green
-process that `green.green_readers` reads.
+same loop, one replication at a time.  Its burns mark the trees they burn
+and delete none, so after the loop the same state reads the green
+process, as `experiments.validate_prop1` does.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on

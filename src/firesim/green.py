@@ -15,9 +15,9 @@ that sites j..j+r-1 are all vacant,
 so the empty configuration has N_green = r - 1 and the simulator agrees
 exactly with every analytic oracle in `analytic`.
 
-On the continuous model one lazy state, `_Continuum`, is the fire engine's
-one-row step state and, without burns, the green process `green_readers`
-reads N_green and the first passage tau_green from.
+On the continuous model one lazy state, `_Continuum`, serves both: it is
+the fire engine's one-row step state, whose burns only mark the trees they
+burn, and N_green and the first passage tau_green read every tree arrived.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ DEFAULT_TIME_CAP = 1e4
 _GAP_BUDGET = 1 << 18      # gaps sample_green_reach_cont draws at once: 16 bytes a gap
                            # (the gap and its replication index), 4 MiB in all
 _COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
+_TREES = 1 << 18           # most trees a continuous state holds: 17 bytes a tree
 
 
 def first_vacant_run(vacant, r: int):
@@ -113,14 +114,15 @@ def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
 class _Continuum:
     """Lazy state of the continuous fire process on [0, cap] x [0, time_cap].
 
-    Every burn removes the standing trees of a prefix [0, reach], so the
-    state is the trees no burn has removed, sorted by position; a tree
-    stands at t iff it arrived by t.  Unit columns are read in doubling
+    It holds the trees read, sorted by position, and marks those a burn of
+    a prefix [0, reach] burns; none is deleted.  A tree stands at t for the
+    fire iff it arrived by t unmarked, for the green process (`green`,
+    `first_passage`) iff it arrived by t.  Unit columns are read in doubling
     blocks only while a chain may pass the columns read, and unit time rows
-    only as far as the ignitions or a query need, so each cell is read once.
-    Without burns it is the green process (`green`, `first_passage`).  It
-    is a one-row state of `fire._run_rows`' step interface without `keep`:
-    the loop ends when its row finishes; ignitions past the last are inf.
+    only as far as the ignitions or a query need, so each cell is read once;
+    CapExceeded past _TREES trees.  It is a one-row state of
+    `fire._run_rows`' step interface without `keep`: the loop ends when its
+    row finishes; ignitions past the last are inf.
     """
 
     rows = 1
@@ -130,16 +132,22 @@ class _Continuum:
         self.noise, self.cap, self.time_cap = noise, float(cap), float(time_cap)
         self.connect, self.ignite_distance = config.connect_distance, config.ignite_distance
         self.trees = np.empty((0, 2))      # (position, arrival time) rows
+        self.standing = np.empty(0, dtype=bool)
         self.cols = int(np.ceil(min(max(_COLS, self.ignite_distance), self.cap)))
         self.depth = 0                     # unit time rows read
         self.ignitions = self._ignitions()
 
     def _read(self, cols: int, depth: int) -> None:
-        """Extend the cells read to [0, cols) x [0, depth)."""
-        pts = np.concatenate([self.trees, self.noise.cells(self.cols, cols, 0, depth),
+        """Extend the cells read to [0, cols) x [0, depth); new trees stand."""
+        pts = np.concatenate([self.noise.cells(self.cols, cols, 0, depth),
                               self.noise.cells(0, self.cols, self.depth, depth)])
         pts = pts[(pts[:, 0] <= self.cap) & (pts[:, 1] <= self.time_cap)]
-        self.trees = pts[np.argsort(pts[:, 0], kind="stable")]
+        if len(self.trees) + len(pts) > _TREES:
+            raise CapExceeded(f"continuous state passed {_TREES} trees")
+        standing = np.append(self.standing, np.ones(len(pts), dtype=bool))
+        pts = np.concatenate([self.trees, pts])
+        order = np.argsort(pts[:, 0], kind="stable")
+        self.trees, self.standing = pts[order], standing[order]
         self.cols, self.depth = cols, depth
 
     def _more_rows(self, t: float = 0.0) -> float:
@@ -150,17 +158,19 @@ class _Continuum:
         self._read(self.cols, int(np.ceil(min(depth, self.time_cap))))
         return min(self.depth, self.time_cap)
 
-    def reach(self, t: float, x: float = np.inf) -> tuple[float, bool]:
+    def reach(self, t: float, x: float = np.inf, fire: bool = True) -> tuple[float, bool]:
         """(reach, censored) at time t: the chain from the rightmost standing
         tree within the ignite distance across gaps of at most the connect
-        distance, 0.0 without such a tree.  A chain that may pass the cap is
+        distance, 0.0 without such a tree; burnt trees stand only for the
+        green process (`fire=False`).  A chain that may pass the cap is
         censored, with the reach of its part inside the cap.  Columns are
         read only until they hold [0, x + connect], which decides whether
         the chain passes x, so a reach >= x may stop short."""
         if self.depth < min(t, self.time_cap):
             self._more_rows(t)
         while True:
-            pos = self.trees[self.trees[:, 1] <= t, 0]
+            arrived = self.trees[:, 1] <= t
+            pos = self.trees[arrived & self.standing if fire else arrived, 0]
             k = np.searchsorted(pos, self.ignite_distance, "right") - 1
             stop = np.flatnonzero(np.diff(pos[max(k, 0):]) > self.connect)
             reach = 0.0 if k < 0 else float(pos[k + stop[0]] if len(stop) else pos[-1])
@@ -170,18 +180,18 @@ class _Continuum:
             self._read(int(np.ceil(min(2 * self.cols, self.cap))), self.depth)
 
     def green(self, t: float, x: float = np.inf) -> float:
-        """`reach(t, x)` of a state without burns; CapExceeded if a chain
-        short of x may pass the cap."""
-        reach, censored = self.reach(t, x)
+        """N_green(t), the green reading of `reach(t, x)`; CapExceeded if a
+        chain short of x may pass the cap."""
+        reach, censored = self.reach(t, x, fire=False)
         if censored and reach < x:
             raise CapExceeded(f"green cluster exceeded spatial window cap {self.cap:.0f}")
         return reach
 
     def first_passage(self, x: float) -> float:
-        """tau_green(x) of a state without burns, inf past time_cap: the
-        green reach only grows, and only when a tree arrives, so tau is the
-        first tree time at which it is >= x, found by bisection over the
-        trees read, which hold every tree of [0, x + connect] by then."""
+        """tau_green(x), inf past time_cap, whatever has burnt: the green
+        reach only grows, and only when a tree arrives, so tau is the first
+        tree time at which it is >= x, found by bisection over the trees
+        read, which hold every tree of [0, x + connect] by then."""
         if x <= 0:
             raise ValueError("x must be > 0")
         t = min(self.depth, self.time_cap)
@@ -206,41 +216,24 @@ class _Continuum:
         return np.array([next(self.ignitions, np.inf)])
 
     def burn(self, t: np.ndarray) -> tuple[list, list]:
-        """Burn at the ignition time t[0]; returns ([reach], [censored])."""
+        """Mark the trees burnt at the ignition time t[0]; returns ([reach], [censored])."""
         t = t.item()
         reach, censored = self.reach(t)
-        self.trees = self.trees[(self.trees[:, 0] > reach) | (self.trees[:, 1] > t)]
+        self.standing[(self.trees[:, 0] <= reach) & (self.trees[:, 1] <= t)] = False
         return [reach], [censored]
-
-
-def green_readers(noise: NoiseField, config: ModelConfig, horizon: float):
-    """(N_green(t), tau_green(x)) of one replication's noise: on the lattice
-    `simulate_N_green` and `simulate_tau_green` at site ceil(x), where a
-    burn meets x; on the continuous model one fire-free state up to
-    `horizon`, so each cell is read once, where tau_green is inf past the
-    horizon (CapExceeded as `_Continuum.green`)."""
-    if config.space == "discrete":
-        return (lambda t: simulate_N_green(noise, config, t),
-                lambda x: simulate_tau_green(noise, config, int(np.ceil(x))))
-    state = _Continuum(noise, config, DEFAULT_SITE_CAP, horizon)
-
-    def n_green(t: float) -> float:
-        if not 0 <= t <= horizon:
-            raise ValueError(f"need 0 <= t <= horizon = {horizon}")
-        return state.green(t)
-
-    return n_green, state.first_passage
 
 
 def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float) -> float:
     """Rightmost cluster point of the continuous green process at time t."""
-    return green_readers(noise, config, t)[0](t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return _Continuum(noise, config, DEFAULT_SITE_CAP, t).green(t)
 
 
 def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float) -> float:
     """First time the continuous green reach meets or passes x; CapExceeded
     past DEFAULT_TIME_CAP."""
-    tau = green_readers(noise, config, DEFAULT_TIME_CAP)[1](x)
+    tau = _Continuum(noise, config, DEFAULT_SITE_CAP, DEFAULT_TIME_CAP).first_passage(x)
     if tau == np.inf:
         raise CapExceeded(f"green process did not reach {x} before time cap {DEFAULT_TIME_CAP}")
     return tau

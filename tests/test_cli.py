@@ -505,6 +505,17 @@ def test_lattice_suite_on_continuous_model_exit_2(tmp_path, capsys, suite):
     assert "discrete model" in capsys.readouterr().err
 
 
+def test_growth_with_no_completed_replication_exit_3(tmp_path):
+    """Every replication stops at the time cap before n_k: the growth report
+    fails at once, and the CLI says so with exit 3."""
+    cfg = write_cfg(tmp_path, "c.json", {"model": {"profile": {"value": 1e-5}}, "seed": 7,
+                                         "reps": 3, "validate": {"suite": "growth", "k": 1}})
+    out = tmp_path / "g.json"
+    assert cli.main(["validate", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads(out.read_text())["report"]
+    assert (report["reps"], report["censored"], report["pass"]) == (0, 3, False)
+
+
 def test_continuous_moments_rejects_non_unit_model(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"model": {"space": "continuous", "intensity": 2.0},
                                          "validate": {"suite": "continuous-moments"}})

@@ -1,5 +1,7 @@
 """Estimators, the minima extractor and the validation suites (small sizes)."""
 
+import collections
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firesim import analytic, experiments, fire
+from firesim import analytic, experiments, fire, green
 from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import rep_rng, replication_seed
 
@@ -257,6 +259,36 @@ def test_validate_prop1_continuous_ignite_beyond_connect():
     assert rep["pass"]
 
 
+def test_validate_prop1_reads_a_fractional_lattice_target_at_its_site(monkeypatch):
+    """A lattice burn meets 4.5 at site 5, so tau_green is read there and
+    the report is that of target 5."""
+    cfg = ModelConfig(space="discrete", r=2, profile=RateProfile.constant(1.0))
+    sites = []
+    tau_green = green.simulate_tau_green
+    monkeypatch.setattr(green, "simulate_tau_green",
+                        lambda noise, config, x: sites.append(x) or tau_green(noise, config, x))
+    rep = experiments.validate_prop1(cfg, 4.0, 30, 12, targets=(4.5,))
+    assert rep["taus_checked"] > 0 and set(sites) == {5}
+    assert rep == experiments.validate_prop1(cfg, 4.0, 30, 12, targets=(5,))
+
+
+def test_validate_prop1_continuous_reads_each_cell_once(monkeypatch):
+    """One state per replication serves the fire and the green readings,
+    so no unit cell of a replication's noise is drawn twice."""
+    reads = collections.Counter()
+    cells = NoiseField.cells
+
+    def spy(noise, i0, i1, j0, j1):
+        reads.update(itertools.product([noise.master_seed], range(i0, i1), range(j0, j1)))
+        return cells(noise, i0, i1, j0, j1)
+
+    monkeypatch.setattr(NoiseField, "cells", spy)
+    cfg = ModelConfig(space="continuous", connect_distance=0.5, ignite_distance=2.0)
+    rep = experiments.validate_prop1(cfg, 5.0, 12, 1, targets=(3.0, 10.0))
+    assert rep["pass"] and rep["taus_checked"] > 0 and rep["records_checked"] > 0
+    assert reads and max(reads.values()) == 1
+
+
 def test_validate_prop1_rejects_bad_horizon():
     with pytest.raises(ValueError):
         experiments.validate_prop1(CFG1, 0.0, 5, 0)
@@ -303,6 +335,22 @@ def test_estimate_growth_small():
     assert rep["identity_ok"]
     assert rep["ratio"] > 1.0
     assert rep["censored"] == 0
+
+
+@pytest.mark.parametrize("rate,reps,seed,completed", [(1e-5, 3, 7, 0), (1e-4, 2, 2, 1)])
+def test_estimate_growth_with_under_two_completed_replications_fails_promptly(
+        rate, reps, seed, completed):
+    """At these slow rates replications stop at the time cap before n_k,
+    and fewer than two completed ones give no covariance: the report reads
+    NaN and fails, without a warning (pyproject.toml makes RuntimeWarnings
+    errors).  With none, the P(A_i) loop used never to end."""
+    cfg = ModelConfig(r=1, profile=RateProfile.constant(rate))
+    rep = experiments.estimate_growth(cfg, 1.5, 1, reps, seed)
+    assert (rep["reps"], rep["censored"], rep["P_A"]) == (completed, reps - completed, [])
+    for key in ("E_tau_nk", "E_tau_nk1", "ratio", "one_plus_sum_PA", "identity_gap",
+                "identity_sigma"):
+        assert math.isnan(rep[key]), key
+    assert not (rep["identity_ok"] or rep["ratio_ok"] or rep["pass"])
 
 
 def test_scaling_study_small():

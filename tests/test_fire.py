@@ -435,6 +435,16 @@ def test_continuous_terminal_burn_pinned():
     assert not any(ev.censored for ev in trace.events[:-1])
 
 
+def test_continuous_state_has_a_tree_budget():
+    """A supercritical replication without targets raises CapExceeded once
+    its state holds more than green._TREES trees, instead of growing to a
+    reach past 200,000 and about 200 MB."""
+    cfg = ModelConfig(space="continuous", intensity=2.0, connect_distance=1.5,
+                      ignite_distance=0.7)
+    with pytest.raises(CapExceeded, match="trees"):
+        fire.run_fire(NoiseField(replication_seed(92, 2), cfg), cfg, time_cap=5.0)
+
+
 LOW_INTENSITY = ModelConfig(space="continuous", intensity=0.4)
 
 

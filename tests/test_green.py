@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from firesim import analytic, green
+from firesim import analytic, fire, green
 from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import rep_rng, replication_seed
 
@@ -104,17 +104,13 @@ def test_reach_monotone_in_time():
 
 
 def test_tau_green_is_first_passage():
-    """Also through `green_readers` at a fractional target x - 0.5, which a
-    lattice reach meets at site x, as a burn does."""
     cfg = ModelConfig(space="discrete", r=2, profile=RateProfile.constant(1.0))
     for seed in range(30):
         noise = NoiseField(replication_seed(12, seed), cfg)
-        tau_green = green.green_readers(noise, cfg, 10.0)[1]
         for x in (2, 5, 9):
-            for target, tau in ((x, green.simulate_tau_green(noise, cfg, x)),
-                                (x - 0.5, tau_green(x - 0.5))):
-                assert green.simulate_N_green(noise, cfg, tau) >= target
-                assert green.simulate_N_green(noise, cfg, tau * (1 - 1e-9)) < target
+            tau = green.simulate_tau_green(noise, cfg, x)
+            assert green.simulate_N_green(noise, cfg, tau) >= x
+            assert green.simulate_N_green(noise, cfg, tau * (1 - 1e-9)) < x
 
 
 def test_tau_green_trivial_below_range():
@@ -240,32 +236,44 @@ def test_continuous_tau_is_first_passage():
 @pytest.mark.parametrize("horizon", [3.0, 5.0])
 @pytest.mark.parametrize("connect,ignite", [(1.0, 1.0), (0.5, 2.0), (1.5, 0.7)])
 def test_continuous_first_passage_on_a_shared_state(connect, ignite, horizon):
-    """tau_green(x) from a state that has already answered N_green equals it
-    from a fresh state and the naive first passage over the trees standing
-    at each tree time, and is inf where x is not reached by the horizon.
-    The naive reach reads [0, 40], which holds every chain that passes
-    x <= 31.7 up to its first tree at or past x.  15.6 and 31.7 lie just
-    under the ends of the first two blocks of columns a state reads, where
-    a chain may arrive past the block before it passes x (seed 24 of
-    (1.5, 0.7) at horizon 5 and x = 31.7); 30 lies past the first."""
+    """tau_green(x) from a state that has already answered N_green, and
+    N_green and tau_green from a state the fire loop has burnt first, equal
+    them from a fresh state, and tau_green equals the naive first passage
+    over the trees standing at each tree time; it is inf where x is not
+    reached by the horizon.  The naive reach reads [0, 40], which holds
+    every chain that passes x <= 31.7 up to its first tree at or past x.
+    15.6 and 31.7 lie just under the ends of the first two blocks of
+    columns a state reads, where a chain may arrive past the block before
+    it passes x (seed 24 of (1.5, 0.7) at horizon 5 and x = 31.7); 30 lies
+    past the first.  Some burnt states must hold a burnt tree that the
+    green process reads and the fire does not."""
     cfg = ModelConfig(space="continuous", connect_distance=connect, ignite_distance=ignite)
     xs = (0.5, 3.0, 10.0, 15.6, 30.0, 31.7)
-    seen = set()
+    seen, burnt_read = set(), False
+
+    def fresh():
+        return green._Continuum(noise, cfg, green.DEFAULT_SITE_CAP, horizon)
+
     for seed in range(30):
         noise = NoiseField(replication_seed(34, seed), cfg)
-        n_green, tau_green = green.green_readers(noise, cfg, horizon)
+        shared, burnt = fresh(), fresh()
         for t in (0.5, 1.5, horizon):
-            n_green(t)
+            shared.green(t)
+        fire._run_rows(burnt, [], horizon, green.DEFAULT_SITE_CAP)
+        for t in (0.5, 1.5, horizon):
+            assert burnt.green(t) == fresh().green(t)
+        burnt_read |= burnt.reach(horizon)[0] < burnt.green(horizon)
         pts = noise.points_in(0.0, 40.0, 0.0, horizon)
         for x in xs:
             naive = next((s for s in np.sort(pts[:, 1]) if cluster_reach_cont(
                 pts[pts[:, 1] <= s, 0], connect, ignite) >= x), math.inf)
-            tau = tau_green(x)
-            assert tau == green.green_readers(noise, cfg, horizon)[1](x) == naive
+            tau = shared.first_passage(x)
+            assert tau == burnt.first_passage(x) == fresh().first_passage(x) == naive
             if tau == math.inf:
                 assert green.simulate_tau_green_cont(noise, cfg, x) > horizon
             seen.add(tau == math.inf)
     assert seen == {True, False}
+    assert burnt_read
 
 
 def test_continuous_first_passage_raises_past_the_cap():

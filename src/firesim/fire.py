@@ -31,9 +31,9 @@ renewal replications so, each as a fire row and its blue twin (`_Paired`),
 and advances a site both burn at one ignition once; `run_blue_experiment`
 is its batch of one.  The continuous state, `green._Continuum`, is itself
 a one-row state of the same step interface, which `run_fire` hands to the
-same loop, one replication at a time.  Its burns mark the trees they burn
-and delete none, so after the loop the same state reads the green
-process, as `experiments.validate_prop1` does.
+same loop, one replication at a time.  A run without targets only marks
+the trees it burns and keeps its state on the trace, which then reads the
+green process of the same noise, as `experiments.validate_prop1` does.
 
 Reach values can be right-censored at a window: a burn whose scan
 exhausts the window is recorded with reach equal to the window size (on
@@ -72,6 +72,7 @@ class FireTrace:
     records: list[tuple[float, float]] = field(default_factory=list)  # (sigma_i, u_i)
     complete: bool = True    # all requested targets were reached in time
     censored: bool = False   # any event reach was window-capped
+    state: object = field(default=None, compare=False)  # of a continuous run without targets
 
     def rightmost_by(self, t: float) -> float:
         """N(t): the rightmost point burnt by time t."""
@@ -364,7 +365,9 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     window, where it meets every target.  Every burn before tau_x reaches
     below x, so a run to several targets gives each the tau_x of a run to
     x alone.  Without targets a burn passing `site_cap` raises
-    CapExceeded.  On the continuous model the window and caps are lengths.
+    CapExceeded.  On the continuous model the window and caps are lengths;
+    without targets a state past `green._TREES` trees raises too, and the
+    trace keeps it (`state`) to read the green process of the same noise.
 
     `coupled=False` runs the lattice on the memoryless state: the same law
     from about a tenth of the draws, but not a function of the site
@@ -375,12 +378,15 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     """
     if config.space == "continuous":
         targets, cap = _targets_and_window(config, targets, site_cap)
-        (trace,) = _run_rows(_Continuum(noise, config, cap, time_cap), targets, time_cap, cap)
+        state = _Continuum(noise, config, cap, time_cap, keep_burnt=not targets)
+        (trace,) = _run_rows(state, targets, time_cap, cap)
     else:
         (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
                              site_cap=site_cap, coupled=coupled)
     if isinstance(trace, CapExceeded):
         raise trace
+    if config.space == "continuous" and not targets:
+        trace.state = state
     return trace
 
 

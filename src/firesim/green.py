@@ -15,9 +15,9 @@ that sites j..j+r-1 are all vacant,
 so the empty configuration has N_green = r - 1 and the simulator agrees
 exactly with every analytic oracle in `analytic`.
 
-On the continuous model one lazy state, `_Continuum`, serves both: it is
-the fire engine's one-row step state, whose burns only mark the trees they
-burn, and N_green and the first passage tau_green read every tree arrived.
+On the continuous model one lazy state, `_Continuum`, serves both: the
+fire engine steps it, and after a run without targets, whose burns only
+mark trees, N_green and tau_green read every tree arrived from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ DEFAULT_TIME_CAP = 1e4
 _GAP_BUDGET = 1 << 18      # gaps sample_green_reach_cont draws at once: 16 bytes a gap
                            # (the gap and its replication index), 4 MiB in all
 _COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
-_TREES = 1 << 18           # most trees a continuous state holds: 17 bytes a tree
+_TREES = 1 << 18           # most trees a state that keeps burnt ones holds: 17 bytes a tree
 
 
 def first_vacant_run(vacant, r: int):
@@ -114,22 +114,24 @@ def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
 class _Continuum:
     """Lazy state of the continuous fire process on [0, cap] x [0, time_cap].
 
-    It holds the trees read, sorted by position, and marks those a burn of
-    a prefix [0, reach] burns; none is deleted.  A tree stands at t for the
-    fire iff it arrived by t unmarked, for the green process (`green`,
-    `first_passage`) iff it arrived by t.  Unit columns are read in doubling
-    blocks only while a chain may pass the columns read, and unit time rows
-    only as far as the ignitions or a query need, so each cell is read once;
-    CapExceeded past _TREES trees.  It is a one-row state of
-    `fire._run_rows`' step interface without `keep`: the loop ends when its
-    row finishes; ignitions past the last are inf.
+    It holds the trees read, sorted by position.  A burn of a prefix
+    [0, reach] deletes the trees it burns or, with `keep_burnt`, marks
+    them: a tree stands at t for the fire iff it arrived by t unburnt, for
+    the green process (`green`, `first_passage`) iff it arrived by t.  Unit
+    columns are read in doubling blocks only while a chain may pass the
+    columns read, and unit time rows only as far as the ignitions or a
+    query need, so each cell is read once.  `keep_burnt` serves a fire run
+    without targets, which no window bounds: CapExceeded past _TREES trees.
+    It is a one-row state of `fire._run_rows`' step interface without `keep`:
+    the loop ends when its row finishes; ignitions past the last are inf.
     """
 
     rows = 1
 
     def __init__(self, noise: NoiseField, config: ModelConfig, cap: float,
-                 time_cap: float):
+                 time_cap: float, keep_burnt: bool = False):
         self.noise, self.cap, self.time_cap = noise, float(cap), float(time_cap)
+        self.keep_burnt = keep_burnt
         self.connect, self.ignite_distance = config.connect_distance, config.ignite_distance
         self.trees = np.empty((0, 2))      # (position, arrival time) rows
         self.standing = np.empty(0, dtype=bool)
@@ -139,13 +141,13 @@ class _Continuum:
 
     def _read(self, cols: int, depth: int) -> None:
         """Extend the cells read to [0, cols) x [0, depth); new trees stand."""
-        pts = np.concatenate([self.noise.cells(self.cols, cols, 0, depth),
+        pts = np.concatenate([self.trees, self.noise.cells(self.cols, cols, 0, depth),
                               self.noise.cells(0, self.cols, self.depth, depth)])
         pts = pts[(pts[:, 0] <= self.cap) & (pts[:, 1] <= self.time_cap)]
-        if len(self.trees) + len(pts) > _TREES:
+        if self.keep_burnt and len(pts) > _TREES:
             raise CapExceeded(f"continuous state passed {_TREES} trees")
-        standing = np.append(self.standing, np.ones(len(pts), dtype=bool))
-        pts = np.concatenate([self.trees, pts])
+        standing = np.ones(len(pts), dtype=bool)
+        standing[:len(self.standing)] = self.standing    # trees held pass again, in front
         order = np.argsort(pts[:, 0], kind="stable")
         self.trees, self.standing = pts[order], standing[order]
         self.cols, self.depth = cols, depth
@@ -216,10 +218,13 @@ class _Continuum:
         return np.array([next(self.ignitions, np.inf)])
 
     def burn(self, t: np.ndarray) -> tuple[list, list]:
-        """Mark the trees burnt at the ignition time t[0]; returns ([reach], [censored])."""
+        """Burn at the ignition time t[0], deleting the trees burnt or, with
+        `keep_burnt`, marking them; returns ([reach], [censored])."""
         t = t.item()
         reach, censored = self.reach(t)
         self.standing[(self.trees[:, 0] <= reach) & (self.trees[:, 1] <= t)] = False
+        if not self.keep_burnt:    # delete them: the trees left all stand
+            self.trees, self.standing = self.trees[self.standing], self.standing[self.standing]
         return [reach], [censored]
 
 

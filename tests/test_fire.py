@@ -445,6 +445,19 @@ def test_continuous_state_has_a_tree_budget():
         fire.run_fire(NoiseField(replication_seed(92, 2), cfg), cfg, time_cap=5.0)
 
 
+@pytest.mark.parametrize("cfg,x,seed,tau", [
+    (ModelConfig(space="continuous"), 5000.0, 1, 27.335806231012892),
+    (ModelConfig(space="continuous", intensity=4.0, connect_distance=0.01,
+                 ignite_distance=0.02), 20.0, 0, 612.8732445900054)])
+def test_continuous_tree_budget_spares_runs_to_a_target(cfg, x, seed, tau):
+    """A run to a target deletes the trees it burns and has no tree budget:
+    the run to 5,000 reads 32 time rows of 10,000 columns, the one to 20
+    1,024 rows of 64 columns, each past green._TREES trees, and both meet
+    x at the tau of a state without the budget."""
+    trace = fire.run_fire(NoiseField(replication_seed(5, seed), cfg), cfg, targets=[x])
+    assert trace.tau == {x: tau} and trace.state is None
+
+
 LOW_INTENSITY = ModelConfig(space="continuous", intensity=0.4)
 
 

@@ -237,8 +237,8 @@ def test_continuous_tau_is_first_passage():
 @pytest.mark.parametrize("connect,ignite", [(1.0, 1.0), (0.5, 2.0), (1.5, 0.7)])
 def test_continuous_first_passage_on_a_shared_state(connect, ignite, horizon):
     """tau_green(x) from a state that has already answered N_green, and
-    N_green and tau_green from a state the fire loop has burnt first, equal
-    them from a fresh state, and tau_green equals the naive first passage
+    N_green and tau_green from the state a fire run without targets leaves
+    (`FireTrace.state`), equal them from a fresh state, and tau_green equals the naive first passage
     over the trees standing at each tree time; it is inf where x is not
     reached by the horizon.  The naive reach reads [0, 40], which holds
     every chain that passes x <= 31.7 up to its first tree at or past x.
@@ -256,10 +256,9 @@ def test_continuous_first_passage_on_a_shared_state(connect, ignite, horizon):
 
     for seed in range(30):
         noise = NoiseField(replication_seed(34, seed), cfg)
-        shared, burnt = fresh(), fresh()
+        shared, burnt = fresh(), fire.run_fire(noise, cfg, time_cap=horizon).state
         for t in (0.5, 1.5, horizon):
             shared.green(t)
-        fire._run_rows(burnt, [], horizon, green.DEFAULT_SITE_CAP)
         for t in (0.5, 1.5, horizon):
             assert burnt.green(t) == fresh().green(t)
         burnt_read |= burnt.reach(horizon)[0] < burnt.green(horizon)

@@ -246,8 +246,7 @@ def cmd_run(cfg: dict, args) -> int:
               ["quantity", "estimate", "stderr", "reps", "seed", "censored"], rows)
     if args.emit_plot_data:
         trace = fire.run_fire(NoiseField(replication_seed(seed, 0), model),
-                              model, targets=[max(targets)], time_cap=time_cap,
-                              coupled=False)
+                              targets=[max(targets)], time_cap=time_cap, coupled=False)
         ev_rows = [(ev.time, ev.rightmost, ev.censored) for ev in trace.events]
         out = (args.out + ".trace.csv") if args.out else None
         write_csv(out, _header(cfg, seed, ["burn events of replication 0"]),

@@ -73,7 +73,7 @@ def first_burn_times(config: ModelConfig, seeds, targets, **kwargs) -> list:
     that of a run to x alone.  None where the run raised CapExceeded or
     stopped at the time cap before burning x."""
     noises = [NoiseField(seed, config) for seed in seeds]
-    runs = fire.run_fires(noises, config, targets=targets, coupled=False, **kwargs)
+    runs = fire.run_fires(noises, targets, coupled=False, **kwargs)
     return [[None if isinstance(res, CapExceeded) else res.tau.get(x) for res in runs]
             for x in targets]
 
@@ -162,10 +162,10 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
     taus_checked = 0
     for i in range(reps):
         noise = NoiseField(replication_seed(master_seed, i), config)
-        trace = fire.run_fire(noise, config, targets=(), time_cap=horizon)
+        trace = fire.run_fire(noise, time_cap=horizon)
         if config.space == "discrete":
-            n_green = lambda t: green.simulate_N_green(noise, config, t)
-            tau_green = lambda x: green.simulate_tau_green(noise, config, math.ceil(x))
+            n_green = lambda t: green.simulate_N_green(noise, t)
+            tau_green = lambda x: green.simulate_tau_green(noise, math.ceil(x))
         else:    # the run's own state, whose burns marked the trees they burnt
             n_green, tau_green = trace.state.green, trace.state.first_passage
         for x in targets:
@@ -180,6 +180,7 @@ def validate_prop1(config: ModelConfig, horizon: float, reps: int,
             records_checked += 1
             if abs(n_green(sigma) - u) > 1e-9:
                 record_viol += 1
+        del trace, n_green, tau_green    # a continuous state is freed before the next run
     return {
         "suite": "prop1",
         "reps": reps,
@@ -211,10 +212,8 @@ def validate_thresholds(config: ModelConfig, n: int, epsilon: float, reps: int,
     below_hi = sample_vacant_run_within(rng_hi, profile, r, (1 + epsilon) * T, n, reps)
     # N > n  <=>  no vacant run inside sites 1..n+1
     above_lo = ~sample_vacant_run_within(rng_lo, profile, r, (1 - epsilon) * T, n + 1, reps)
-    p_below = float(below_hi.mean())
-    p_above = float(above_lo.mean())
-    se_below = float(below_hi.std(ddof=1) / np.sqrt(reps))
-    se_above = float(above_lo.std(ddof=1) / np.sqrt(reps))
+    p_below, se_below = _mean_and_stderr(below_hi)
+    p_above, se_above = _mean_and_stderr(above_lo)
     env_below = n ** (-c * epsilon) if profile.kind != "constant" else n ** (-epsilon)
     env_above = float(np.exp(-n ** (c * epsilon)))
     below_ok = bool(p_below <= env_below + 3 * se_below)
@@ -258,8 +257,7 @@ def validate_lemma1(config: ModelConfig, gamma: float, k: int,
             break
         noise = NoiseField(replication_seed(master_seed, i), config)
         try:
-            recs = fire.run_blue_experiment(noise, config, n_k, cycles_per_rep,
-                                            reach_window=8 * n_k)
+            recs = fire.run_blue_experiment(noise, n_k, cycles_per_rep, reach_window=8 * n_k)
         except CapExceeded:
             censored += cycles_per_rep
             continue
@@ -321,15 +319,12 @@ def validate_continuous_moments(t_values, reps: int, master_seed: int) -> dict:
         rng_ = rep_rng(master_seed, j)
         sample = green.sample_green_reach_cont(rng_, float(t), reps)
         m_th, v_th = analytic.green_moments_cont(float(t))
-        m_hat = float(sample.mean())
-        se_m = float(sample.std(ddof=1) / np.sqrt(reps))
+        m_hat, se_m = _mean_and_stderr(sample)
         v_hat = float(sample.var(ddof=1))
         mu4 = float(((sample - m_hat) ** 4).mean())
         se_v = float(np.sqrt(max(mu4 - v_hat ** 2, 0.0) / reps))
         lap_th = analytic.green_laplace_cont(1.0, float(t))
-        lap_draw = np.exp(-sample)
-        lap_hat = float(lap_draw.mean())
-        se_l = float(lap_draw.std(ddof=1) / np.sqrt(reps))
+        lap_hat, se_l = _mean_and_stderr(np.exp(-sample))
         row_ok = (abs(m_hat - m_th) <= 3 * se_m
                   and abs(v_hat - v_th) <= 3 * se_v
                   and abs(lap_hat - lap_th) <= 3 * se_l)
@@ -352,7 +347,7 @@ def estimate_alpha_k(config: ModelConfig, gamma: float, k: int, reps: int,
     n_k, n_k1 = entries[k - 1].n_k, entries[k].n_k
     window = max(2 * n_k1 + config.r + 2, 4 * n_k)
     noises = [NoiseField(replication_seed(master_seed, i), config) for i in range(reps)]
-    runs = fire.run_blue_experiments(noises, config, n_k, cycles=3, reach_window=window)
+    runs = fire.run_blue_experiments(noises, n_k, cycles=3, reach_window=window)
     hits, censored = [], 0
     for noise, recs in zip(noises, runs):
         if isinstance(recs, CapExceeded):
@@ -360,7 +355,7 @@ def estimate_alpha_k(config: ModelConfig, gamma: float, k: int, reps: int,
             continue
         start = recs[0].tau_i                      # absolute time of hit 1
         duration = recs[1].tau_i + recs[2].tau_i
-        hits.append(float(fire.detect_gap_event(noise, config, n_k1, start, duration)))
+        hits.append(float(fire.detect_gap_event(noise, n_k1, start, duration)))
     mean, stderr = _mean_and_stderr(hits)
     return EstimatorResult(mean=mean, stderr=stderr, reps=len(hits),
                            master_seed=master_seed,
@@ -384,7 +379,7 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
     tau_k, tau_k1, M = [], [], []
     censored = 0
     noises = [NoiseField(replication_seed(master_seed, i), config) for i in range(reps)]
-    for trace in fire.run_fires(noises, config, targets=[n_k, n_k1], coupled=False):
+    for trace in fire.run_fires(noises, [n_k, n_k1], coupled=False):
         if isinstance(trace, CapExceeded) or not trace.complete:
             censored += 1
             continue
@@ -483,7 +478,7 @@ def validate_permutation(profile: RateProfile, x: int, permutation, reps: int,
         raise ValueError("need reps >= 2")
     if sorted(perm) != list(range(1, x + 1)):
         raise ValueError("permutation must act on sites 1..x")
-    extent = fire._window(ModelConfig(), [x], None, fire.DEFAULT_SITE_CAP)
+    extent = fire._window(ModelConfig(), [x], 0)
     base = profile.rates(0, extent + 1)
     permuted = base.copy()
     permuted[1:x + 1] = base[perm]

@@ -107,22 +107,22 @@ class _Lattice:
     """Lazy states of R replications of the lattice fire process, stepped
     in lockstep.
 
-    Row i runs on noises[i]'s master seed and starts all-vacant at its t0,
-    time 0 unless `_Paired.restart` sets it.  The state of site x in a row
-    is its next arrival after its last burn (after t0 if never burnt), so x
-    is occupied at t iff that arrival is <= t, together with its cursor, its
-    place in its noise stream: here the unit-time sum of its arrivals so
-    far and their count.  Sites are materialised, for every row at once,
-    in blocks only while the vacant-run scan needs more; their rates and
-    stream ids are kept per site.  The ignitions are site 0's arrivals from
-    time 0, read for all rows together in blocks of 64; site 0's own entry
-    is never read.  Every row's floats are pure in (its seed, site, draw
-    index), so a row equals its run alone.  `NoiseField.advance` bounds the
-    draws a step takes.
+    Row i runs on noises[i]'s master seed, every row on noises[0]'s model,
+    and starts all-vacant at its t0, time 0 unless `_Paired.restart` sets
+    it.  The state of site x in a row is its next arrival after its last
+    burn (after t0 if never burnt), so x is occupied at t iff that arrival
+    is <= t, together with its cursor, its place in its noise stream: here
+    the unit-time sum of its arrivals so far and their count.  Sites are
+    materialised, for every row at once, in blocks only while the vacant-run
+    scan needs more; their rates and stream ids are kept per site.  The
+    ignitions are site 0's arrivals from time 0, read for all rows together
+    in blocks of 64; site 0's own entry is never read.  Every row's floats
+    are pure in (its seed, site, draw index), so a row equals its run alone.
+    `NoiseField.advance` bounds the draws a step takes.
     """
 
-    def __init__(self, noises: list[NoiseField], r: int, cap: int):
-        self.noise, self.r, self.cap = noises[0], r, cap
+    def __init__(self, noises: list[NoiseField], cap: int):
+        self.noise, self.r, self.cap = noises[0], noises[0].config.r, cap
         self.seed = np.array([noise.master_seed for noise in noises], dtype=np.uint64)
         self.t0 = np.zeros(len(noises))
         self.lam, self.stream, *self.cursor, self.time = self._vacant(0, min(64, cap))
@@ -255,8 +255,8 @@ class _Paired(_Lattice):
     it for the fire row and copies it into the blue row.
     """
 
-    def __init__(self, noises: list[NoiseField], r: int, cap: int):
-        super().__init__([*noises, *noises], r, cap)
+    def __init__(self, noises: list[NoiseField], cap: int):
+        super().__init__([*noises, *noises], cap)
 
     def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
         half, w = self.rows // 2, burnt.shape[1]
@@ -278,17 +278,17 @@ class _Paired(_Lattice):
         self._advance(burnt, self.t0)
 
 
-def _window(config: ModelConfig, targets, reach_window, site_cap):
+def _window(config: ModelConfig, targets, reach_window: int):
     """The scan cap: a window of about twice the largest target, within
-    site_cap; site_cap without targets.  A lattice window is a power of two
-    of at least 256 sites and of at least `reach_window`, which only a blue
-    run sets."""
+    DEFAULT_SITE_CAP; DEFAULT_SITE_CAP without targets.  A lattice window
+    is a power of two of at least 256 sites and of at least `reach_window`,
+    which only a blue run sets above 0."""
     if not targets:
-        return site_cap
+        return DEFAULT_SITE_CAP
     if config.space == "continuous":
-        return min(max(64.0, 2.0 * max(targets)), site_cap)
-    need = max(256, 2 * int(max(targets)) + 64, reach_window or 0)
-    return min(1 << int(np.ceil(np.log2(need))), site_cap)
+        return min(max(64.0, 2.0 * max(targets)), DEFAULT_SITE_CAP)
+    need = max(256, 2 * int(max(targets)) + 64, reach_window)
+    return min(1 << int(np.ceil(np.log2(need))), DEFAULT_SITE_CAP)
 
 
 def _keep(state, live: list, keep: np.ndarray) -> list:
@@ -345,29 +345,28 @@ def _run_rows(state, targets: list, time_cap: float, cap) -> list:
     return traces
 
 
-def _targets_and_window(config: ModelConfig, targets, site_cap):
+def _targets_and_window(config: ModelConfig, targets):
     """The sorted, checked targets and the scan cap of a run."""
     continuous = config.space == "continuous"
     targets = sorted({float(x) for x in targets} if continuous else set(targets))
     if targets and (targets[0] <= 0 if continuous else targets[0] < 1):
         raise ValueError("targets must be > 0" if continuous else "targets must be >= 1")
-    return targets, _window(config, targets, None, site_cap)
+    return targets, _window(config, targets, 0)
 
 
-def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
-             time_cap: float = DEFAULT_TIME_CAP,
-             site_cap: int = DEFAULT_SITE_CAP,
+def run_fire(noise: NoiseField, targets=(), *, time_cap: float = DEFAULT_TIME_CAP,
              coupled: bool = True) -> FireTrace:
-    """Simulate the fire process until every target is burnt (or a cap hits).
+    """Simulate the fire process of `noise` until every target is burnt (or a cap hits).
 
     The targets set the window: the scan is capped at about twice the
-    largest target, and a burn that passes it is recorded censored at the
-    window, where it meets every target.  Every burn before tau_x reaches
-    below x, so a run to several targets gives each the tau_x of a run to
-    x alone.  Without targets a burn passing `site_cap` raises
-    CapExceeded.  On the continuous model the window and caps are lengths;
-    without targets a state past `green._TREES` trees raises too, and the
-    trace keeps it (`state`) to read the green process of the same noise.
+    largest target, within DEFAULT_SITE_CAP, and a burn that passes it is
+    recorded censored at the window, where it meets every target.  Every
+    burn before tau_x reaches below x, so a run to several targets gives
+    each the tau_x of a run to x alone.  Without targets a burn passing
+    DEFAULT_SITE_CAP, read at call time, raises CapExceeded.  On the
+    continuous model the window and cap are lengths; without targets a
+    state past `green._TREES` trees raises too, and the trace keeps it
+    (`state`) to read the green process of the same noise.
 
     `coupled=False` runs the lattice on the memoryless state: the same law
     from about a tenth of the draws, but not a function of the site
@@ -376,27 +375,25 @@ def run_fire(noise: NoiseField, config: ModelConfig, targets=(), *,
     switch changes nothing.  On the lattice this is `run_fires` on one
     replication.
     """
-    if config.space == "continuous":
-        targets, cap = _targets_and_window(config, targets, site_cap)
-        state = _Continuum(noise, config, cap, time_cap, keep_burnt=not targets)
+    continuous = noise.config.space == "continuous"
+    if continuous:
+        targets, cap = _targets_and_window(noise.config, targets)
+        state = _Continuum(noise, cap, time_cap, keep_burnt=not targets)
         (trace,) = _run_rows(state, targets, time_cap, cap)
     else:
-        (trace,) = run_fires([noise], config, targets, time_cap=time_cap,
-                             site_cap=site_cap, coupled=coupled)
+        (trace,) = run_fires([noise], targets, time_cap=time_cap, coupled=coupled)
     if isinstance(trace, CapExceeded):
         raise trace
-    if config.space == "continuous" and not targets:
+    if continuous and not targets:
         trace.state = state
     return trace
 
 
-def run_fires(noises, config: ModelConfig, targets=(), *,
-              time_cap: float = DEFAULT_TIME_CAP,
-              site_cap: int = DEFAULT_SITE_CAP,
+def run_fires(noises, targets=(), *, time_cap: float = DEFAULT_TIME_CAP,
               coupled: bool = True) -> list:
-    """`run_fire` on each noise field of the sequence `noises` (all of
-    `config`): one FireTrace per replication, in order, or the CapExceeded
-    its run raised.
+    """`run_fire` on each noise field of the sequence `noises`, all of one
+    model: one FireTrace per replication, in order, or the CapExceeded its
+    run raised; [] for no noise fields.
 
     Lattice replications run in lockstep, in blocks of at most
     _CELLS // window rows: each step ignites every live row, scans and burns
@@ -405,21 +402,22 @@ def run_fires(noises, config: ModelConfig, targets=(), *,
     each continuous replication is one `run_fire` call, the unit in which
     perfbench's tracer counts runs, burn events and failures.
     """
+    if not noises:
+        return []
+    config = noises[0].config
     if config.space == "continuous":
         out = []
         for noise in noises:
             try:
-                out.append(run_fire(noise, config, targets, time_cap=time_cap,
-                                    site_cap=site_cap))
+                out.append(run_fire(noise, targets, time_cap=time_cap))
             except CapExceeded as exc:
                 out.append(exc)
         return out
-    targets, cap = _targets_and_window(config, targets, site_cap)
+    targets, cap = _targets_and_window(config, targets)
     block = max(1, _CELLS // cap)
     kind = _Lattice if coupled else _Memoryless
     return [res for lo in range(0, len(noises), block)
-            for res in _run_rows(kind(noises[lo:lo + block], config.r, cap),
-                                 targets, time_cap, cap)]
+            for res in _run_rows(kind(noises[lo:lo + block], cap), targets, time_cap, cap)]
 
 
 def _run_pairs(state: _Paired, n_k: int, cycles: int, time_cap: float) -> list:
@@ -455,44 +453,44 @@ def _run_pairs(state: _Paired, n_k: int, cycles: int, time_cap: float) -> list:
     return out
 
 
-def run_blue_experiments(noises, config: ModelConfig, n_k: int, cycles: int, *,
-                         reach_window: int | None = None,
-                         time_cap: float = DEFAULT_TIME_CAP) -> list:
-    """`run_blue_experiment` on each noise field of the sequence `noises`:
-    one RenewalRecord list per replication, in order, or the CapExceeded
-    its run raised.  The replications run in lockstep as the pairs of
-    `_Paired` states of at most _PAIRS pairs and _CELLS // window rows, and
-    each gets the floats of its run alone.
+def run_blue_experiments(noises, n_k: int, cycles: int, *, reach_window: int) -> list:
+    """`run_blue_experiment` on each noise field of the sequence `noises`,
+    all of one model: one RenewalRecord list per replication, in order, or
+    the CapExceeded its run raised; [] for no noise fields.  The
+    replications run in lockstep as the pairs of `_Paired` states of at
+    most _PAIRS pairs and _CELLS // window rows, and each gets the floats
+    of its run alone.
     """
-    if config.space == "continuous":
-        raise NotImplementedError("blue experiment is defined for the lattice model")
     if cycles < 1 or n_k < 1:
         raise ValueError("need cycles >= 1 and n_k >= 1")
-    if reach_window is None:
-        reach_window = 64 * n_k
-    cap = _window(config, [n_k], reach_window, DEFAULT_SITE_CAP)
+    if not noises:
+        return []
+    config = noises[0].config
+    if config.space == "continuous":
+        raise NotImplementedError("blue experiment is defined for the lattice model")
+    cap = _window(config, [n_k], reach_window)
     block = max(1, min(_PAIRS, _CELLS // (2 * cap)))
     return [res for lo in range(0, len(noises), block)
-            for res in _run_pairs(_Paired(noises[lo:lo + block], config.r, cap),
-                                  n_k, cycles, time_cap)]
+            for res in _run_pairs(_Paired(noises[lo:lo + block], cap), n_k, cycles,
+                                  DEFAULT_TIME_CAP)]
 
 
-def run_blue_experiment(noise: NoiseField, config: ModelConfig, n_k: int,
-                        cycles: int, **kwargs) -> list[RenewalRecord]:
+def run_blue_experiment(noise: NoiseField, n_k: int, cycles: int, *,
+                        reach_window: int) -> list[RenewalRecord]:
     """Fire/blue renewal experiment at threshold n_k, `run_blue_experiments`
-    on one replication (keywords `reach_window`, 64 n_k by default, and
-    `time_cap`): the fire process, detecting the consecutive times it
-    reaches n_k, and alongside it the blue process, the fire process
-    restarted all-vacant at the previous hit on the same noise.  Returns one
-    RenewalRecord per hit."""
-    (recs,) = run_blue_experiments([noise], config, n_k, cycles, **kwargs)
+    on one replication: the fire process, detecting the consecutive times
+    it reaches n_k, and alongside it the blue process, the fire process
+    restarted all-vacant at the previous hit on the same noise.  The scan
+    window holds at least `reach_window` sites, and ignitions past
+    DEFAULT_TIME_CAP, read at call time, end the run in CapExceeded.
+    Returns one RenewalRecord per hit."""
+    (recs,) = run_blue_experiments([noise], n_k, cycles, reach_window=reach_window)
     if isinstance(recs, CapExceeded):
         raise recs
     return recs
 
 
-def detect_gap_event(noise: NoiseField, config: ModelConfig, span: int, start: float,
-                     duration: float) -> bool:
+def detect_gap_event(noise: NoiseField, span: int, start: float, duration: float) -> bool:
     """True iff some r consecutive sites inside 1..span have no arrivals in
     [start, start+duration).
 
@@ -500,14 +498,15 @@ def detect_gap_event(noise: NoiseField, config: ModelConfig, span: int, start: f
     argument, evaluated on the green process restarted at `start`.  Like
     the blue experiment that finds its times, it is defined on the lattice.
     """
-    if config.space == "continuous":
+    r = noise.config.r
+    if noise.config.space == "continuous":
         raise NotImplementedError("gap event is defined for the lattice model")
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if duration == 0:
         return True
     span = int(span)
-    if span < config.r:
+    if span < r:
         raise ValueError("span must be >= r")
     quiet = noise.next_arrivals_after(1, span + 1, start) >= start + duration
-    return first_vacant_run(quiet, config.r) >= 0
+    return first_vacant_run(quiet, r) >= 0

@@ -26,7 +26,7 @@ import bisect
 
 import numpy as np
 
-from .model import CapExceeded, ModelConfig, NoiseField, RateProfile
+from .model import CapExceeded, NoiseField, RateProfile
 
 DEFAULT_SITE_CAP = 1 << 22
 DEFAULT_TIME_CAP = 1e4
@@ -81,15 +81,15 @@ def _first_run_reach(vacant, r: int, site_cap: int) -> int:
     raise CapExceeded(f"no vacant run of length {r} within {site_cap} sites")
 
 
-def simulate_N_green(noise: NoiseField, config: ModelConfig, t: float) -> int:
+def simulate_N_green(noise: NoiseField, t: float) -> int:
     """Rightmost reachable point of the discrete green process at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
     return _first_run_reach(lambda lo, hi: noise.next_arrivals_after(lo, hi, 0.0) > t,
-                            config.r, DEFAULT_SITE_CAP)
+                            noise.config.r, DEFAULT_SITE_CAP)
 
 
-def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
+def simulate_tau_green(noise: NoiseField, x: int) -> float:
     """First time the green reach meets or passes site x.
 
     N_green(t) >= x iff every window of r consecutive sites inside 1..x has
@@ -99,7 +99,7 @@ def simulate_tau_green(noise: NoiseField, config: ModelConfig, x: int) -> float:
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    r = config.r
+    r = noise.config.r
     if x <= r - 1:
         return 0.0
     first = noise.next_arrivals_after(1, x + 1, 0.0)
@@ -128,11 +128,12 @@ class _Continuum:
 
     rows = 1
 
-    def __init__(self, noise: NoiseField, config: ModelConfig, cap: float,
-                 time_cap: float, keep_burnt: bool = False):
+    def __init__(self, noise: NoiseField, cap: float, time_cap: float,
+                 keep_burnt: bool = False):
         self.noise, self.cap, self.time_cap = noise, float(cap), float(time_cap)
         self.keep_burnt = keep_burnt
-        self.connect, self.ignite_distance = config.connect_distance, config.ignite_distance
+        self.connect = noise.config.connect_distance
+        self.ignite_distance = noise.config.ignite_distance
         self.trees = np.empty((0, 2))      # (position, arrival time) rows
         self.standing = np.empty(0, dtype=bool)
         self.cols = int(np.ceil(min(max(_COLS, self.ignite_distance), self.cap)))
@@ -228,17 +229,17 @@ class _Continuum:
         return [reach], [censored]
 
 
-def simulate_N_green_cont(noise: NoiseField, config: ModelConfig, t: float) -> float:
+def simulate_N_green_cont(noise: NoiseField, t: float) -> float:
     """Rightmost cluster point of the continuous green process at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _Continuum(noise, config, DEFAULT_SITE_CAP, t).green(t)
+    return _Continuum(noise, DEFAULT_SITE_CAP, t).green(t)
 
 
-def simulate_tau_green_cont(noise: NoiseField, config: ModelConfig, x: float) -> float:
+def simulate_tau_green_cont(noise: NoiseField, x: float) -> float:
     """First time the continuous green reach meets or passes x; CapExceeded
     past DEFAULT_TIME_CAP."""
-    tau = _Continuum(noise, config, DEFAULT_SITE_CAP, DEFAULT_TIME_CAP).first_passage(x)
+    tau = _Continuum(noise, DEFAULT_SITE_CAP, DEFAULT_TIME_CAP).first_passage(x)
     if tau == np.inf:
         raise CapExceeded(f"green process did not reach {x} before time cap {DEFAULT_TIME_CAP}")
     return tau

@@ -216,6 +216,11 @@ class NoiseField:
         unit = _filled(unit, n, float)
         count = _filled(count, n, np.int64)
         time = unit / lam
+        if n > _BLOCK:    # in slices of _BLOCK sites, so that no pass draws more
+            for at in (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)):
+                unit[at], count[at], time[at] = self.advance(
+                    stream[at], lam[at], unit[at], count[at], t[at], seed[at])
+            return unit, count, time
         todo = np.flatnonzero((count == 0) | (time <= t))
         while len(todo):
             at = slice(None) if len(todo) == n else todo   # views when all move

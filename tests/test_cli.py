@@ -1,6 +1,5 @@
 """CLI: config validation, exit codes, output format and determinism."""
 
-import functools
 import hashlib
 import json
 import math
@@ -364,7 +363,7 @@ def test_bad_numeric_values_exit_2(tmp_path, capsys, command, cfg, flags):
 def test_validate_cap_exceeded_exit_2(tmp_path, monkeypatch, capsys):
     """A prop1 run that passes the site cap ends in exit 2 and a hint, not a
     traceback; the cap is lowered to 256 sites so the run stays small."""
-    monkeypatch.setattr(fire, "run_fire", functools.partial(fire.run_fire, site_cap=256))
+    monkeypatch.setattr(fire, "DEFAULT_SITE_CAP", 256)
     cfg = write_cfg(tmp_path, "c.json", {"model": {"space": "discrete", "r": 1}, "reps": 2,
                                          "validate": {"suite": "prop1", "horizon": 30,
                                                       "targets": [4]}})

@@ -1,9 +1,11 @@
 """Estimators, the minima extractor and the validation suites (small sizes)."""
 
 import collections
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -127,19 +129,19 @@ def test_first_burn_times_tau1_exponential():
     assert abs(mean - 2.0) < 3 * stderr
 
 
-def test_first_burn_times_marks_censoring():
+def test_first_burn_times_marks_censoring(monkeypatch):
     """None exactly where the run alone stopped at the time cap before
-    burning x, or raised CapExceeded."""
+    burning x, or raised CapExceeded (the site cap lowered to 2)."""
     seeds = [replication_seed(0, i) for i in range(30)]
     (taus,) = experiments.first_burn_times(TAU_CFG, seeds, [3], time_cap=3.0)
-    alone = [fire.run_fire(NoiseField(seed, TAU_CFG), TAU_CFG, targets=[3], time_cap=3.0,
-                           coupled=False) for seed in seeds]
+    alone = [fire.run_fire(NoiseField(seed, TAU_CFG), targets=[3], time_cap=3.0, coupled=False)
+             for seed in seeds]
     assert taus == [run.tau[3] if run.complete else None for run in alone]
     assert None in taus and any(tau is not None for tau in taus)
+    monkeypatch.setattr(fire, "DEFAULT_SITE_CAP", 2)
     with pytest.raises(CapExceeded):
-        fire.run_fire(NoiseField(seeds[0], TAU_CFG), TAU_CFG, targets=[3], site_cap=2,
-                      coupled=False)
-    assert experiments.first_burn_times(TAU_CFG, seeds, [3], site_cap=2) == [[None] * 30]
+        fire.run_fire(NoiseField(seeds[0], TAU_CFG), targets=[3], coupled=False)
+    assert experiments.first_burn_times(TAU_CFG, seeds, [3]) == [[None] * 30]
 
 
 @pytest.mark.parametrize("cfg,targets,time_cap", [
@@ -266,7 +268,7 @@ def test_validate_prop1_reads_a_fractional_lattice_target_at_its_site(monkeypatc
     sites = []
     tau_green = green.simulate_tau_green
     monkeypatch.setattr(green, "simulate_tau_green",
-                        lambda noise, config, x: sites.append(x) or tau_green(noise, config, x))
+                        lambda noise, x: sites.append(x) or tau_green(noise, x))
     rep = experiments.validate_prop1(cfg, 4.0, 30, 12, targets=(4.5,))
     assert rep["taus_checked"] > 0 and set(sites) == {5}
     assert rep == experiments.validate_prop1(cfg, 4.0, 30, 12, targets=(5,))
@@ -287,6 +289,26 @@ def test_validate_prop1_continuous_reads_each_cell_once(monkeypatch):
     rep = experiments.validate_prop1(cfg, 5.0, 12, 1, targets=(3.0, 10.0))
     assert rep["pass"] and rep["taus_checked"] > 0 and rep["records_checked"] > 0
     assert reads and max(reads.values()) == 1
+
+
+def test_validate_prop1_frees_each_state_before_the_next_run(monkeypatch):
+    """A replication's continuous state is freed before the next
+    replication runs: no state of an earlier run is alive when a run
+    starts.  Each state holds a cycle through its ignition generator, so
+    only a collection frees it."""
+    states, alive = [], []
+    run_fire = fire.run_fire
+
+    def spy(noise, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in states))
+        trace = run_fire(noise, **kwargs)
+        states.append(weakref.ref(trace.state))
+        return trace
+
+    monkeypatch.setattr(fire, "run_fire", spy)
+    experiments.validate_prop1(ModelConfig(space="continuous"), 5.0, 4, 1, targets=(3.0,))
+    assert alive == [0, 0, 0, 0]
 
 
 def test_validate_prop1_rejects_bad_horizon():
@@ -327,7 +349,7 @@ def test_estimate_alpha_k_duration_zero_is_one():
     from firesim import fire
     from firesim.model import NoiseField
     noise = NoiseField(0, CFG1)
-    assert fire.detect_gap_event(noise, CFG1, 10, 1.0, 0.0)
+    assert fire.detect_gap_event(noise, 10, 1.0, 0.0)
 
 
 def test_estimate_growth_small():
@@ -400,9 +422,9 @@ def test_scaling_study_fractional_targets_get_own_seeds(monkeypatch):
     seen = {}
     run_fires = fire.run_fires
 
-    def recording(noises, config, targets, **kwargs):
+    def recording(noises, targets, **kwargs):
         seen.setdefault(targets[0], set()).update(noise.master_seed for noise in noises)
-        return run_fires(noises, config, targets, **kwargs)
+        return run_fires(noises, targets, **kwargs)
 
     monkeypatch.setattr(fire, "run_fires", recording)
     cfg = ModelConfig(space="continuous")

@@ -78,7 +78,7 @@ def test_engine_matches_reference(r, lam, horizon):
     for seed in range(10):
         noise = NoiseField(replication_seed(100 + r, seed), cfg)
         ref = reference_fire_discrete(noise, cfg, horizon, 4000)
-        trace = fire.run_fire(noise, cfg, targets=(), time_cap=horizon)
+        trace = fire.run_fire(noise, targets=(), time_cap=horizon)
         got = [(ev.time, ev.rightmost) for ev in trace.events]
         assert len(got) == len(ref)
         for (t1, u1), (t2, u2) in zip(got, ref):
@@ -92,7 +92,7 @@ def test_engine_matches_reference_periodic_profile():
     for seed in range(8):
         noise = NoiseField(replication_seed(55, seed), cfg)
         ref = reference_fire_discrete(noise, cfg, 2.5, 4000)
-        trace = fire.run_fire(noise, cfg, targets=(), time_cap=2.5)
+        trace = fire.run_fire(noise, targets=(), time_cap=2.5)
         assert [(ev.time, ev.rightmost) for ev in trace.events] == \
             pytest.approx(ref)
 
@@ -101,7 +101,7 @@ def test_tau_consistency_with_events():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     for seed in range(10):
         noise = NoiseField(replication_seed(9, seed), cfg)
-        trace = fire.run_fire(noise, cfg, targets=[4, 32])
+        trace = fire.run_fire(noise, targets=[4, 32])
         assert trace.complete
         assert trace.tau[4] <= trace.tau[32]
         for x in (4, 32):
@@ -115,15 +115,15 @@ def test_fire_reach_dominated_by_green():
     cfg = ModelConfig(space="discrete", r=2, profile=RateProfile.constant(1.0))
     for seed in range(20):
         noise = NoiseField(replication_seed(14, seed), cfg)
-        trace = fire.run_fire(noise, cfg, targets=(), time_cap=4.0)
+        trace = fire.run_fire(noise, targets=(), time_cap=4.0)
         for ev in trace.events:
-            assert ev.rightmost <= green.simulate_N_green(noise, cfg, ev.time)
+            assert ev.rightmost <= green.simulate_N_green(noise, ev.time)
 
 
 def test_rightmost_by():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     noise = NoiseField(3, cfg)
-    trace = fire.run_fire(noise, cfg, targets=(), time_cap=5.0)
+    trace = fire.run_fire(noise, targets=(), time_cap=5.0)
     best = 0.0
     for ev in trace.events:
         best = max(best, ev.rightmost)
@@ -143,8 +143,8 @@ def test_deterministic_across_window_sizes():
         for seed in range(10):
             noise = NoiseField(replication_seed(21, seed), cfg)
             for x in (8, 96):
-                narrow = fire.run_fire(noise, cfg, targets=[x], coupled=coupled)
-                wide = fire.run_fire(noise, cfg, targets=[x, 2000], coupled=coupled)
+                narrow = fire.run_fire(noise, targets=[x], coupled=coupled)
+                wide = fire.run_fire(noise, targets=[x, 2000], coupled=coupled)
                 n = len(narrow.events)
                 assert narrow.tau[x] == wide.tau[x] == wide.events[n - 1].time
                 assert narrow.events[:-1] == wide.events[:n - 1]
@@ -170,7 +170,7 @@ def test_memoryless_state_has_the_coupled_law(r, profile):
     def sample(coupled, master_seed):
         tau, M = [], []
         for i in range(reps):
-            trace = fire.run_fire(NoiseField(replication_seed(master_seed, i), cfg), cfg,
+            trace = fire.run_fire(NoiseField(replication_seed(master_seed, i), cfg),
                                   targets=[16, 128], coupled=coupled)
             tau.append(trace.tau[128])
             M.append(sum(ev.rightmost >= 16 and ev.time <= tau[-1] for ev in trace.events))
@@ -198,12 +198,13 @@ def test_lockstep_rows_equal_their_runs_alone(monkeypatch, r, coupled):
     noises = [NoiseField(replication_seed(77 + r, i), cfg) for i in range(24)]
     # time caps at which about half the rows reach 60, raise, or censor
     caps = {1: (8.0, 8.0, 14.0), 2: (3.5, 5.0, 6.0), 3: (2.5, 3.0, 3.5)}[r]
-    cases = [({"targets": [5, 60], "time_cap": caps[0]}, "complete"),
-             ({"time_cap": caps[1], "site_cap": 128}, "raises"),
-             ({"targets": [96], "time_cap": caps[2]}, "censored")]
-    for kwargs, mixed in cases:
-        batch = fire.run_fires(noises, cfg, coupled=coupled, **kwargs)
-        alone = [fire.run_fires([noise], cfg, coupled=coupled, **kwargs)[0]
+    cases = [({"targets": [5, 60], "time_cap": caps[0]}, "complete", fire.DEFAULT_SITE_CAP),
+             ({"time_cap": caps[1]}, "raises", 128),
+             ({"targets": [96], "time_cap": caps[2]}, "censored", fire.DEFAULT_SITE_CAP)]
+    for kwargs, mixed, site_cap in cases:
+        monkeypatch.setattr(fire, "DEFAULT_SITE_CAP", site_cap)
+        batch = fire.run_fires(noises, coupled=coupled, **kwargs)
+        alone = [fire.run_fires([noise], coupled=coupled, **kwargs)[0]
                  for noise in noises]
         assert list(map(_outcome, batch)) == list(map(_outcome, alone)), kwargs
         traces = [res for res in batch if isinstance(res, fire.FireTrace)]
@@ -217,7 +218,7 @@ def test_lockstep_rows_equal_their_runs_alone(monkeypatch, r, coupled):
 def test_coupled_switch_is_inert_on_the_continuous_model():
     cfg = ModelConfig(space="continuous", intensity=0.4)
     for seed in range(5):
-        runs = [fire.run_fire(NoiseField(replication_seed(93, seed), cfg), cfg,
+        runs = [fire.run_fire(NoiseField(replication_seed(93, seed), cfg),
                               targets=[6.0], time_cap=16.0, coupled=coupled)
                 for coupled in (True, False)]
         assert runs[0] == runs[1]
@@ -226,7 +227,7 @@ def test_coupled_switch_is_inert_on_the_continuous_model():
 def test_run_fire_rejects_bad_targets():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     with pytest.raises(ValueError):
-        fire.run_fire(NoiseField(0, cfg), cfg, targets=[0])
+        fire.run_fire(NoiseField(0, cfg), targets=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_blue_records_shape_and_invariants():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     for seed in range(15):
         noise = NoiseField(replication_seed(70, seed), cfg)
-        recs = fire.run_blue_experiment(noise, cfg, 5, 4, reach_window=512)
+        recs = fire.run_blue_experiment(noise, 5, 4, reach_window=512)
         assert [rec.i for rec in recs] == [1, 2, 3, 4]
         for j, rec in enumerate(recs):
             assert rec.tau_i > 0
@@ -255,9 +256,9 @@ def test_blue_records_shape_and_invariants():
 def test_blue_cycle_times_match_fire_hits():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     noise = NoiseField(41, cfg)
-    recs = fire.run_blue_experiment(noise, cfg, 6, 3, reach_window=512)
+    recs = fire.run_blue_experiment(noise, 6, 3, reach_window=512)
     cum = np.cumsum([rec.tau_i for rec in recs])
-    trace = fire.run_fire(noise, cfg, targets=(), time_cap=cum[-1] + 1e-9)
+    trace = fire.run_fire(noise, targets=(), time_cap=cum[-1] + 1e-9)
     hit_times = [ev.time for ev in trace.events if ev.rightmost >= 6][:3]
     assert np.allclose(cum, hit_times)
 
@@ -271,7 +272,7 @@ def test_restart_row_equals_a_state_started_at_t(r):
     cfg = ModelConfig(space="discrete", r=r,
                       profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3))
     noise = NoiseField(replication_seed(55, r), cfg)
-    state = fire._Paired([noise], r, 1024)
+    state = fire._Paired([noise], 1024)
     for _ in range(40):
         t = state.ignite()
         state.burn(t)
@@ -280,7 +281,7 @@ def test_restart_row_equals_a_state_started_at_t(r):
     assert np.any(row0[-1][1:] <= t)      # the restart vacates occupied sites
     state.restart(np.array([0]), np.array([t]))
     assert all(np.array_equal(a[0], b) for a, b in zip((*state.cursor, state.time), row0))
-    fresh = fire._Lattice([noise], r, 1024)
+    fresh = fire._Lattice([noise], 1024)
     fresh.t0[0] = t
     fresh.lam, fresh.stream, *fresh.cursor, fresh.time = fresh._vacant(0, state.time.shape[1])
     for width in (state.time.shape[1], 4 * state.time.shape[1]):
@@ -319,7 +320,7 @@ def test_shared_draws_change_no_float(monkeypatch, r):
     restarts = {50: [0, 2], 120: [1], 170: [0, 1, 2]}
 
     def run(kind):
-        state, draws, repeats = kind(noises, r, 1024), [0], [0]
+        state, draws, repeats = kind(noises, 1024), [0], [0]
         advance = state._advance
 
         def counted_advance(burnt, t):
@@ -352,7 +353,7 @@ def test_shared_draws_change_no_float(monkeypatch, r):
 def test_blue_rejects_continuous():
     cfg = ModelConfig(space="continuous", r=1)
     with pytest.raises(NotImplementedError):
-        fire.run_blue_experiment(NoiseField(0, cfg), cfg, 2, 2)
+        fire.run_blue_experiment(NoiseField(0, cfg), 2, 2, reach_window=128)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +363,13 @@ def test_blue_rejects_continuous():
 def test_gap_event_zero_duration_always_true():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     noise = NoiseField(8, cfg)
-    assert fire.detect_gap_event(noise, cfg, 50, 1.0, 0.0)
+    assert fire.detect_gap_event(noise, 50, 1.0, 0.0)
 
 
 def test_gap_event_long_duration_false():
     cfg = ModelConfig(space="discrete", r=1, profile=RateProfile.constant(1.0))
     noise = NoiseField(8, cfg)
-    assert not fire.detect_gap_event(noise, cfg, 5, 0.0, 50.0)
+    assert not fire.detect_gap_event(noise, 5, 0.0, 50.0)
 
 
 def test_gap_event_matches_manual_check():
@@ -379,13 +380,13 @@ def test_gap_event_matches_manual_check():
         quiet = [noise.next_arrivals_after(x, x + 1, start)[0] >= start + dur
                  for x in range(1, span + 1)]
         manual = any(quiet[i] and quiet[i + 1] for i in range(span - 1))
-        assert fire.detect_gap_event(noise, cfg, span, start, dur) == manual
+        assert fire.detect_gap_event(noise, span, start, dur) == manual
 
 
 def test_gap_event_rejects_continuous():
     cfg = ModelConfig(space="continuous")
     with pytest.raises(NotImplementedError):
-        fire.detect_gap_event(NoiseField(0, cfg), cfg, 6.0, 0.3, 0.8)
+        fire.detect_gap_event(NoiseField(0, cfg), 6.0, 0.3, 0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ def test_continuous_engine_matches_reference():
         for seed in range(15):
             noise = NoiseField(replication_seed(90, seed), cfg)
             ref = reference_fire_continuous(noise, cfg, horizon, length)
-            trace = fire.run_fire(noise, cfg, targets=(), time_cap=horizon)
+            trace = fire.run_fire(noise, targets=(), time_cap=horizon)
             got = [(ev.time, ev.rightmost) for ev in trace.events]
             assert got == pytest.approx(ref)
             longest = max([longest, *(reach for _, reach in got)])
@@ -416,7 +417,7 @@ def test_continuous_targets_complete():
     cfg = ModelConfig(space="continuous", r=1)
     for seed in range(10):
         noise = NoiseField(replication_seed(91, seed), cfg)
-        trace = fire.run_fire(noise, cfg, targets=[5.0])
+        trace = fire.run_fire(noise, targets=[5.0])
         assert trace.complete
         assert trace.tau[5.0] > 0
         assert any(ev.rightmost >= 5.0 for ev in trace.events)
@@ -427,7 +428,7 @@ def test_continuous_terminal_burn_pinned():
     # window, so it is recorded censored there instead of chased
     cfg = ModelConfig(space="continuous", r=1)
     noise = NoiseField(replication_seed(91, 8), cfg)
-    trace = fire.run_fire(noise, cfg, targets=[5.0])
+    trace = fire.run_fire(noise, targets=[5.0])
     assert trace.complete
     assert trace.tau[5.0] == 11.451956949627743
     assert trace.events[-1].time == trace.tau[5.0]
@@ -442,7 +443,7 @@ def test_continuous_state_has_a_tree_budget():
     cfg = ModelConfig(space="continuous", intensity=2.0, connect_distance=1.5,
                       ignite_distance=0.7)
     with pytest.raises(CapExceeded, match="trees"):
-        fire.run_fire(NoiseField(replication_seed(92, 2), cfg), cfg, time_cap=5.0)
+        fire.run_fire(NoiseField(replication_seed(92, 2), cfg), time_cap=5.0)
 
 
 @pytest.mark.parametrize("cfg,x,seed,tau", [
@@ -454,28 +455,30 @@ def test_continuous_tree_budget_spares_runs_to_a_target(cfg, x, seed, tau):
     the run to 5,000 reads 32 time rows of 10,000 columns, the one to 20
     1,024 rows of 64 columns, each past green._TREES trees, and both meet
     x at the tau of a state without the budget."""
-    trace = fire.run_fire(NoiseField(replication_seed(5, seed), cfg), cfg, targets=[x])
+    trace = fire.run_fire(NoiseField(replication_seed(5, seed), cfg), targets=[x])
     assert trace.tau == {x: tau} and trace.state is None
 
 
 LOW_INTENSITY = ModelConfig(space="continuous", intensity=0.4)
 
 
-def run_low_intensity(seed, **caps):
+def run_low_intensity(seed, **kwargs):
     noise = NoiseField(replication_seed(90, seed), LOW_INTENSITY)
-    return fire.run_fire(noise, LOW_INTENSITY, time_cap=16.0, **caps)
+    return fire.run_fire(noise, time_cap=16.0, **kwargs)
 
 
-def test_continuous_site_cap_raises_past_the_cap():
+def test_continuous_site_cap_raises_past_the_cap(monkeypatch):
     raised = 0
     for seed in range(15):
         full = run_low_intensity(seed)
-        if max(ev.rightmost for ev in full.events) <= 64.0 - LOW_INTENSITY.connect_distance:
-            assert run_low_intensity(seed, site_cap=64).events == full.events
-        else:
-            raised += 1
-            with pytest.raises(CapExceeded):
-                run_low_intensity(seed, site_cap=64)
+        with monkeypatch.context() as patch:
+            patch.setattr(fire, "DEFAULT_SITE_CAP", 64)
+            if max(ev.rightmost for ev in full.events) <= 64.0 - LOW_INTENSITY.connect_distance:
+                assert run_low_intensity(seed).events == full.events
+            else:
+                raised += 1
+                with pytest.raises(CapExceeded):
+                    run_low_intensity(seed)
     assert raised > 0
 
 
@@ -498,3 +501,9 @@ def test_continuous_reach_window_censors_inside_window():
                 assert part == whole
         assert cut.censored == any(ev.censored for ev in cut.events)
     assert censored > 0
+
+
+def test_empty_batches_return_no_runs():
+    """A batch of no noise fields has no model to read and runs nothing."""
+    assert fire.run_fires([], targets=[4]) == []
+    assert fire.run_blue_experiments([], 6, 3, reach_window=64) == []

@@ -73,7 +73,7 @@ def test_simulate_matches_reach_rule_on_shared_noise():
         noise = NoiseField(replication_seed(3, seed), cfg)
         for t in (0.3, 1.0, 2.0):
             occ = noise.next_arrivals_after(1, 4097, 0.0) <= t
-            assert green.simulate_N_green(noise, cfg, t) == \
+            assert green.simulate_N_green(noise, t) == \
                 green.reach_discrete(occ, 2)
 
 
@@ -89,7 +89,7 @@ def test_simulate_matches_reach_rule_across_blocks(r, times):
         noise = NoiseField(replication_seed(5, seed), cfg)
         first = noise.next_arrivals_after(1, 2 ** 16 + 1, 0.0)
         for t in times:
-            reaches.append(green.simulate_N_green(noise, cfg, t))
+            reaches.append(green.simulate_N_green(noise, t))
             assert reaches[-1] == green.reach_discrete(first <= t, r)
     assert max(reaches) > 768
 
@@ -98,7 +98,7 @@ def test_reach_monotone_in_time():
     cfg = ModelConfig(space="discrete", r=3, profile=RateProfile.constant(1.0))
     for seed in range(20):
         noise = NoiseField(replication_seed(8, seed), cfg)
-        reaches = [green.simulate_N_green(noise, cfg, t)
+        reaches = [green.simulate_N_green(noise, t)
                    for t in (0.2, 0.5, 1.0, 1.5, 2.0)]
         assert reaches == sorted(reaches)
 
@@ -108,17 +108,17 @@ def test_tau_green_is_first_passage():
     for seed in range(30):
         noise = NoiseField(replication_seed(12, seed), cfg)
         for x in (2, 5, 9):
-            tau = green.simulate_tau_green(noise, cfg, x)
-            assert green.simulate_N_green(noise, cfg, tau) >= x
-            assert green.simulate_N_green(noise, cfg, tau * (1 - 1e-9)) < x
+            tau = green.simulate_tau_green(noise, x)
+            assert green.simulate_N_green(noise, tau) >= x
+            assert green.simulate_N_green(noise, tau * (1 - 1e-9)) < x
 
 
 def test_tau_green_trivial_below_range():
     cfg = ModelConfig(space="discrete", r=3, profile=RateProfile.constant(1.0))
     noise = NoiseField(1, cfg)
-    assert green.simulate_tau_green(noise, cfg, 1) == 0.0
-    assert green.simulate_tau_green(noise, cfg, 2) == 0.0
-    assert green.simulate_tau_green(noise, cfg, 3) > 0.0
+    assert green.simulate_tau_green(noise, 1) == 0.0
+    assert green.simulate_tau_green(noise, 2) == 0.0
+    assert green.simulate_tau_green(noise, 3) > 0.0
 
 
 def test_product_formula_monte_carlo():
@@ -130,7 +130,7 @@ def test_product_formula_monte_carlo():
     hits = np.empty(reps, dtype=bool)
     for i in range(reps):
         noise = NoiseField(replication_seed(77, i), cfg)
-        hits[i] = green.simulate_N_green(noise, cfg, t) >= n
+        hits[i] = green.simulate_N_green(noise, t) >= n
     p_hat = hits.mean()
     p = analytic.product_reach_prob(prof, n, t)
     se = math.sqrt(p * (1 - p) / reps)
@@ -186,7 +186,7 @@ def test_continuous_reach_matches_naive():
                 pts = noise.points_in(0.0, 400.0, 0.0, t)
                 expect = naive_reach_cont(pts[:, 0], cfg.connect_distance,
                                           cfg.ignite_distance)
-                assert green.simulate_N_green_cont(noise, cfg, t) == \
+                assert green.simulate_N_green_cont(noise, t) == \
                     pytest.approx(expect)
                 longest = max(longest, expect)
     assert 32.0 < longest < 390.0
@@ -218,7 +218,7 @@ def test_continuous_reach_matches_cluster_definition(connect, ignite):
             pts = noise.points_in(0.0, 120.0, 0.0, t)
             expect = cluster_reach_cont(pts[:, 0], connect, ignite)
             assert expect < 120.0 - connect
-            assert green.simulate_N_green_cont(noise, cfg, t) == expect
+            assert green.simulate_N_green_cont(noise, t) == expect
 
 
 def test_continuous_tau_is_first_passage():
@@ -228,9 +228,9 @@ def test_continuous_tau_is_first_passage():
         for seed in range(seeds):
             noise = NoiseField(replication_seed(32, seed), cfg)
             x = 2.5
-            tau = green.simulate_tau_green_cont(noise, cfg, x)
-            assert green.simulate_N_green_cont(noise, cfg, tau) >= x
-            assert green.simulate_N_green_cont(noise, cfg, tau * (1 - 1e-9)) < x
+            tau = green.simulate_tau_green_cont(noise, x)
+            assert green.simulate_N_green_cont(noise, tau) >= x
+            assert green.simulate_N_green_cont(noise, tau * (1 - 1e-9)) < x
 
 
 @pytest.mark.parametrize("horizon", [3.0, 5.0])
@@ -252,11 +252,11 @@ def test_continuous_first_passage_on_a_shared_state(connect, ignite, horizon):
     seen, burnt_read = set(), False
 
     def fresh():
-        return green._Continuum(noise, cfg, green.DEFAULT_SITE_CAP, horizon)
+        return green._Continuum(noise, green.DEFAULT_SITE_CAP, horizon)
 
     for seed in range(30):
         noise = NoiseField(replication_seed(34, seed), cfg)
-        shared, burnt = fresh(), fire.run_fire(noise, cfg, time_cap=horizon).state
+        shared, burnt = fresh(), fire.run_fire(noise, time_cap=horizon).state
         for t in (0.5, 1.5, horizon):
             shared.green(t)
         for t in (0.5, 1.5, horizon):
@@ -269,7 +269,7 @@ def test_continuous_first_passage_on_a_shared_state(connect, ignite, horizon):
             tau = shared.first_passage(x)
             assert tau == burnt.first_passage(x) == fresh().first_passage(x) == naive
             if tau == math.inf:
-                assert green.simulate_tau_green_cont(noise, cfg, x) > horizon
+                assert green.simulate_tau_green_cont(noise, x) > horizon
             seen.add(tau == math.inf)
     assert seen == {True, False}
     assert burnt_read
@@ -280,7 +280,7 @@ def test_continuous_first_passage_raises_past_the_cap():
     than reading as a green process that never reaches x (seed 2's chain
     passes 7 of the cap 8 by time 5)."""
     cfg = ModelConfig(space="continuous", r=1)
-    state = green._Continuum(NoiseField(replication_seed(34, 2), cfg), cfg, 8.0, 5.0)
+    state = green._Continuum(NoiseField(replication_seed(34, 2), cfg), 8.0, 5.0)
     with pytest.raises(CapExceeded):
         state.first_passage(31.7)
 
@@ -296,8 +296,8 @@ def test_continuous_sampler_agrees_with_field_simulation():
     """The fast sampler and the noise-field simulator draw the same law."""
     cfg = ModelConfig(space="continuous", r=1)
     reps, t = 3000, 1.0
-    sim = np.array([green.simulate_N_green_cont(
-        NoiseField(replication_seed(41, i), cfg), cfg, t) for i in range(reps)])
+    sim = np.array([green.simulate_N_green_cont(NoiseField(replication_seed(41, i), cfg), t)
+                    for i in range(reps)])
     fast = green.sample_green_reach_cont(rep_rng(42, 0), t, reps)
     se = math.hypot(sim.std(ddof=1) / math.sqrt(reps),
                     fast.std(ddof=1) / math.sqrt(reps))

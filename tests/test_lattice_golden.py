@@ -20,6 +20,7 @@ Regenerate (only when the pinned behaviour is meant to change) with
     PYTHONPATH=src python tests/test_lattice_golden.py
 """
 
+import contextlib
 import json
 import pathlib
 
@@ -40,16 +41,18 @@ SEEDS = range(4)
 
 # name -> (function, keyword arguments); run_fire cases cover targets,
 # the window of a target against a pinned fixed-window run, neither, a
-# site cap and an unmet target.
+# site cap and an unmet target.  An upper-case key names a cap of `fire`,
+# set for the case alone (`_patched`).
 RUNS = {
     "targets": ("run_fire", {"targets": [5, 100]}),
     "reach_window": ("window", {"targets": [96], "time_cap": 6.0}),
     "neither": ("run_fire", {"targets": (), "time_cap": 4.0}),
-    "site_cap": ("run_fire", {"targets": (), "time_cap": 5.0, "site_cap": 256}),
+    "site_cap": ("run_fire", {"targets": (), "time_cap": 5.0, "DEFAULT_SITE_CAP": 256}),
     "unmet": ("run_fire", {"targets": [5000], "time_cap": 3.0}),
-    "blue": ("run_blue_experiment", {"n_k": 6, "cycles": 4}),
+    "blue": ("run_blue_experiment", {"n_k": 6, "cycles": 4, "reach_window": 384}),
     "blue_window": ("run_blue_experiment", {"n_k": 20, "cycles": 3, "reach_window": 40}),
-    "blue_time_cap": ("run_blue_experiment", {"n_k": 8, "cycles": 5, "time_cap": 10.0}),
+    "blue_time_cap": ("run_blue_experiment", {"n_k": 8, "cycles": 5, "reach_window": 512,
+                                              "DEFAULT_TIME_CAP": 10.0}),
     "gap": ("detect_gap_event", [(12, 0.5, 1.0), (40, 2.0, 0.7), (200, 1.0, 3.0)]),
 }
 
@@ -59,10 +62,21 @@ MEMORYLESS = {
     "targets": ("run_fire", {"targets": [5, 100], "coupled": False}),
     "reach_window": ("window", {"targets": [96], "time_cap": 6.0, "coupled": False}),
     "unmet": ("run_fire", {"targets": [5000], "time_cap": 3.0, "coupled": False}),
-    "site_cap": ("run_fire", {"targets": (), "time_cap": 8.0, "site_cap": 128,
+    "site_cap": ("run_fire", {"targets": (), "time_cap": 8.0, "DEFAULT_SITE_CAP": 128,
                               "coupled": False}),
 }
 GOLDEN = {"lattice_golden.json": RUNS, "memoryless_golden.json": MEMORYLESS}
+
+
+@contextlib.contextmanager
+def _patched(kwargs: dict):
+    """The keyword arguments `kwargs` without its upper-case keys, which
+    set caps of `fire` inside the block and are restored after it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for key, value in kwargs.items():
+            if key.isupper():
+                patch.setattr(fire, key, value)
+        yield {key: value for key, value in kwargs.items() if not key.isupper()}
 
 
 def _records(recs) -> list:
@@ -74,19 +88,20 @@ def _run(runs: dict, name: str, r: int, profile: str, seed: int):
     cfg = ModelConfig(space="discrete", r=r, profile=PROFILES[profile])
     noise = NoiseField(replication_seed(1000 + r, seed), cfg)
     func, kwargs = runs[name]
-    try:
-        if func in ("run_fire", "window"):
-            trace = fire.run_fire(noise, cfg, **kwargs)
-            return {"events": [[float(ev.time), int(ev.rightmost), bool(ev.censored)]
-                               for ev in trace.events],
-                    "tau": {str(x): float(t) for x, t in trace.tau.items()},
-                    "complete": trace.complete, "censored": trace.censored}
-        if func == "run_blue_experiment":
-            return _records(fire.run_blue_experiment(noise, cfg, **kwargs))
-        return [bool(fire.detect_gap_event(noise, cfg, span, start, dur))
+    if func == "detect_gap_event":
+        return [bool(fire.detect_gap_event(noise, span, start, dur))
                 for span, start, dur in kwargs]
+    try:
+        with _patched(kwargs) as kwargs:
+            if func == "run_blue_experiment":
+                return _records(fire.run_blue_experiment(noise, **kwargs))
+            trace = fire.run_fire(noise, **kwargs)
     except CapExceeded:
         return "CapExceeded"
+    return {"events": [[float(ev.time), int(ev.rightmost), bool(ev.censored)]
+                       for ev in trace.events],
+            "tau": {str(x): float(t) for x, t in trace.tau.items()},
+            "complete": trace.complete, "censored": trace.censored}
 
 
 def _window_prefix(pinned: dict, x: int) -> dict:
@@ -142,12 +157,12 @@ def test_blue_batch_matches_golden(golden, monkeypatch, r, profile):
     for name, (func, kwargs) in RUNS.items():
         if func != "run_blue_experiment":
             continue
-        window = kwargs.get("reach_window", 64 * kwargs["n_k"])
-        cap = fire._window(cfg, [kwargs["n_k"]], window, fire.DEFAULT_SITE_CAP)
+        cap = fire._window(cfg, [kwargs["n_k"]], kwargs["reach_window"])
         want = [golden["lattice_golden.json"][_key(name, r, profile, seed)] for seed in SEEDS]
         for pairs in (1, 2, len(SEEDS)):
             monkeypatch.setattr(fire, "_CELLS", 2 * pairs * cap)
-            batch = fire.run_blue_experiments(noises, cfg, **kwargs)
+            with _patched(kwargs) as args:
+                batch = fire.run_blue_experiments(noises, **args)
             got = ["CapExceeded" if isinstance(res, CapExceeded) else _records(res)
                    for res in batch]
             assert json.loads(json.dumps(got)) == want, (name, pairs)

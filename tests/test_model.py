@@ -1,5 +1,7 @@
 """Rate profiles and the shared noise field."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,31 @@ def test_block_size_never_changes_floats(monkeypatch):
     monkeypatch.setattr(model, "_BLOCK", 64)
     for a, b in zip(default, advance()):
         assert np.array_equal(a, b)
+
+
+def test_advance_memory_is_bounded_past_the_block():
+    """One `advance` of 2^19 sites, four times `_BLOCK`, to t = 3 goes in
+    slices of `_BLOCK` sites: its traced peak is its filled arrays, 40 B a
+    site (20 MiB), and the temporaries of one slice, about 40 MiB in all.
+    One pass over all the sites, one draw each, peaked at 82 MiB.  Tracing
+    that is already on is kept, and only the growth past what it holds at
+    the start counts."""
+    prof = RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3)
+    noise = NoiseField(5, ModelConfig(space="discrete", r=1, profile=prof))
+    n = 1 << 19
+    stream, lam = rng.site_stream(np.arange(1, n + 1)), prof.rates(1, n + 1)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        unit, count, time = noise.advance(stream, lam, 0.0, 0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert np.all(time > 3.0) and np.all(count >= 1)
+    assert peak < 56 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_exponential_first_arrival_distribution():

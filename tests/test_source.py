@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in firesim is read, every
 private name it defines is named somewhere else in it, no module-level
-name is defined in two of its modules, and every parameter default is
-passed by some caller."""
+name is defined in two of its modules, every parameter default is
+passed by some caller, and no function takes a noise field and a model
+config both."""
 
 import ast
 import math
@@ -175,3 +176,31 @@ def test_every_parameter_default_is_overridden():
     """A default that every caller keeps is a constant in disguise."""
     assert defaults_never_passed({p.name: p.read_text() for p in PACKAGE},
                                  [p.read_text() for p in CALLERS]) == []
+
+
+def noise_with_config(source: str) -> list[str]:
+    """The functions and methods of `source` that take a `noise` or
+    `noises` parameter and a `config` parameter both, with their lines."""
+    out = []
+    for f in ast.walk(ast.parse(source)):
+        if isinstance(f, ast.FunctionDef):
+            args = f.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if names & {"noise", "noises"} and "config" in names:
+                out.append(f"{f.name} (line {f.lineno})")
+    return out
+
+
+def test_noise_with_config_finds_only_functions_taking_both():
+    src = ("def f(noise, config):\n    pass\ndef g(noises, *, config=None):\n    pass\n"
+           "def h(noise, t):\n    pass\ndef k(config, seeds):\n    pass\n"
+           "class C:\n    def __init__(self, noise, config):\n        pass\n")
+    assert noise_with_config(src) == ["f (line 1)", "g (line 3)", "__init__ (line 10)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_a_noise_field_and_a_config(path):
+    """A noise field carries its model (`NoiseField.config`): a second
+    config beside it could name another model, and a run would mix the
+    two."""
+    assert noise_with_config(path.read_text()) == []

@@ -468,17 +468,16 @@ def run_low_intensity(seed, **kwargs):
 
 
 def test_continuous_site_cap_raises_past_the_cap(monkeypatch):
+    fulls = [run_low_intensity(seed) for seed in range(15)]
+    monkeypatch.setattr(fire, "DEFAULT_SITE_CAP", 64)
     raised = 0
-    for seed in range(15):
-        full = run_low_intensity(seed)
-        with monkeypatch.context() as patch:
-            patch.setattr(fire, "DEFAULT_SITE_CAP", 64)
-            if max(ev.rightmost for ev in full.events) <= 64.0 - LOW_INTENSITY.connect_distance:
-                assert run_low_intensity(seed).events == full.events
-            else:
-                raised += 1
-                with pytest.raises(CapExceeded):
-                    run_low_intensity(seed)
+    for seed, full in enumerate(fulls):
+        if max(ev.rightmost for ev in full.events) <= 64.0 - LOW_INTENSITY.connect_distance:
+            assert run_low_intensity(seed).events == full.events
+        else:
+            raised += 1
+            with pytest.raises(CapExceeded):
+                run_low_intensity(seed)
     assert raised > 0
 
 

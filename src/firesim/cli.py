@@ -29,39 +29,52 @@ class ConfigError(Exception):
 
 
 _TOP_KEYS = {"model", "seed", "reps", "run", "validate", "schedule", "sweep"}
-_MODEL_KEYS = {"space", "r", "profile", "intensity",
-               "connect_distance", "ignite_distance"}
-_PROFILE_KEYS = {"kind", "value", "values", "c1", "c2", "seed"}
+# the keys each model space, profile kind and validate suite reads
+_SPACE_KEYS = {"discrete": {"space", "r", "profile"},
+               "continuous": {"space", "intensity", "connect_distance", "ignite_distance"}}
+_KIND_KEYS = {"constant": {"kind", "value"},
+              "explicit": {"kind", "values", "c1", "c2"},
+              "periodic": {"kind", "values", "c1", "c2"},
+              "iid-uniform": {"kind", "c1", "c2", "seed"}}
+_SUITE_KEYS = {"prop1": {"suite", "horizon", "targets"},
+               "thresholds": {"suite", "n", "epsilon"},
+               "lemma1": {"suite", "gamma", "k", "cycles"},
+               "alpha_k": {"suite", "gamma", "k"},
+               "growth": {"suite", "gamma", "k"},
+               "permutation": {"suite", "x", "permutation"},
+               "oracles": {"suite"},
+               "continuous-moments": {"suite", "t_values"}}
 _SECTION_KEYS = {
     "run": {"targets", "time_cap"},
-    "validate": {"suite", "horizon", "targets", "n", "epsilon", "gamma", "k",
-                 "cycles", "t_values", "x", "permutation"},
+    "validate": set().union(*_SUITE_KEYS.values()),
     "schedule": {"gamma", "k_max"},
     "sweep": {"x_grid", "time_cap"},
 }
-_SUITES = ("prop1", "thresholds", "lemma1", "alpha_k", "growth",
-           "permutation", "oracles", "continuous-moments")
+_SUITES = tuple(_SUITE_KEYS)
 _LATTICE_SUITES = {"thresholds", "lemma1", "alpha_k", "growth", "permutation"}
 _MOMENT_GAPS = 1 << 30   # most gaps continuous-moments draws at one t: reps * (e^t - 1)
 
 
-def _check_keys(mapping, allowed: set, where: str) -> None:
-    """ConfigError unless `mapping` is an object of only `allowed` keys."""
+def _check_keys(mapping, allowed: set, where: str, reader: str = "") -> None:
+    """ConfigError unless `mapping` is an object of only `allowed` keys:
+    those `where` may hold, or those `reader` reads when named."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    extra = ", ".join(sorted(set(mapping) - allowed))
+    if extra:
+        raise ConfigError(f"{reader} reads no {where} key(s) {extra}" if reader
+                          else f"unknown key(s) in {where}: {extra}")
 
 
 def _build_profile(spec) -> RateProfile:
     where = "model.profile"
-    _check_keys(spec, _PROFILE_KEYS, where)
+    _check_keys(spec, set().union(*_KIND_KEYS.values()), where)
     kind = spec.get("kind", "constant")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    _check_keys(spec, _KIND_KEYS[kind], where, f"a {kind} profile")
     if kind == "constant":
         return RateProfile.constant(float(_number(spec.get("value", 1.0), f"{where}.value")))
-    if kind not in ("explicit", "periodic", "iid-uniform"):
-        raise ConfigError(f"unknown profile kind {kind!r}")
     c1, c2 = (float(_number(spec.get(key), f"{where}.{key}")) for key in ("c1", "c2"))
     try:
         if kind == "iid-uniform":
@@ -73,13 +86,16 @@ def _build_profile(spec) -> RateProfile:
 
 
 def _build_model(spec) -> ModelConfig:
-    _check_keys(spec, _MODEL_KEYS, "model")
+    _check_keys(spec, set().union(*_SPACE_KEYS.values()), "model")
+    space = spec.get("space", "discrete")
+    if isinstance(space, str) and space in _SPACE_KEYS:    # else ModelConfig names it
+        _check_keys(spec, _SPACE_KEYS[space], "model", f"the {space} model")
     kwargs = {key: float(_number(spec[key], f"model.{key}"))
               for key in ("intensity", "connect_distance", "ignite_distance") if key in spec}
     if "profile" in spec:
         kwargs["profile"] = _build_profile(spec["profile"])
     try:
-        return ModelConfig(space=spec.get("space", "discrete"),
+        return ModelConfig(space=space,
                            r=_integer(spec.get("r", 1), "model.r", 1, most=fire.DEFAULT_SITE_CAP),
                            **kwargs)
     except ValueError as exc:
@@ -299,6 +315,7 @@ def cmd_validate(cfg: dict, args) -> int:
         raise ConfigError(f"validate.suite must be one of {', '.join(_SUITES)}")
     if suite in _LATTICE_SUITES and model.space != "discrete":
         raise ConfigError(f"suite {suite!r} needs the discrete model")
+    _check_keys(section, _SUITE_KEYS[suite], "validate", f"suite {suite!r}")
     if suite == "continuous-moments" and (
             model.intensity, model.connect_distance, model.ignite_distance) != (1.0, 1.0, 1.0):
         raise ConfigError("suite 'continuous-moments' checks the unit model only: "

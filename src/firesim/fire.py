@@ -107,22 +107,26 @@ class _Lattice:
     """Lazy states of R replications of the lattice fire process, stepped
     in lockstep.
 
-    Row i runs on noises[i]'s master seed, every row on noises[0]'s model,
-    and starts all-vacant at its t0, time 0 unless `_Paired.restart` sets
-    it.  The state of site x in a row is its next arrival after its last
-    burn (after t0 if never burnt), so x is occupied at t iff that arrival
-    is <= t, together with its cursor, its place in its noise stream: here
-    the unit-time sum of its arrivals so far and their count.  Sites are
-    materialised, for every row at once, in blocks only while the vacant-run
-    scan needs more; their rates and stream ids are kept per site.  The
-    ignitions are site 0's arrivals from time 0, read for all rows together
-    in blocks of 64; site 0's own entry is never read.  Every row's floats
-    are pure in (its seed, site, draw index), so a row equals its run alone.
-    `NoiseField.advance` bounds the draws a step takes.
+    Row i runs on noises[i]'s master seed, every row on their one model
+    (ValueError for noise fields of several models), and starts all-vacant
+    at its t0, time 0 unless `_Paired.restart` sets it.  The state of site x
+    in a row is its next arrival after its last burn (after t0 if never
+    burnt), so x is occupied at t iff that arrival is <= t, together with
+    its cursor, its place in its noise stream: here the unit-time sum of its
+    arrivals so far and their count.  Sites are materialised, for every row
+    at once, in blocks only while the vacant-run scan needs more; their
+    rates and stream ids are kept per site.  The ignitions are site 0's
+    arrivals from time 0, read for all rows together in blocks of 64; site
+    0's own entry is never read.  Every row's floats are pure in (its seed,
+    site, draw index), so a row equals its run alone.  `NoiseField.advance`
+    bounds the draws a step takes.
     """
 
     def __init__(self, noises: list[NoiseField], cap: int):
-        self.noise, self.r, self.cap = noises[0], noises[0].config.r, cap
+        config = noises[0].config
+        if any(noise.config is not config and noise.config != config for noise in noises):
+            raise ValueError("the noise fields of one lattice state need one model")
+        self.noise, self.r, self.cap = noises[0], config.r, cap
         self.seed = np.array([noise.master_seed for noise in noises], dtype=np.uint64)
         self.t0 = np.zeros(len(noises))
         self.lam, self.stream, *self.cursor, self.time = self._vacant(0, min(64, cap))
@@ -393,7 +397,8 @@ def run_fires(noises, targets=(), *, time_cap: float = DEFAULT_TIME_CAP,
               coupled: bool = True) -> list:
     """`run_fire` on each noise field of the sequence `noises`, all of one
     model: one FireTrace per replication, in order, or the CapExceeded its
-    run raised; [] for no noise fields.
+    run raised; [] for no noise fields, ValueError for lattice fields of
+    several models.
 
     Lattice replications run in lockstep, in blocks of at most
     _CELLS // window rows: each step ignites every live row, scans and burns
@@ -456,7 +461,8 @@ def _run_pairs(state: _Paired, n_k: int, cycles: int, time_cap: float) -> list:
 def run_blue_experiments(noises, n_k: int, cycles: int, *, reach_window: int) -> list:
     """`run_blue_experiment` on each noise field of the sequence `noises`,
     all of one model: one RenewalRecord list per replication, in order, or
-    the CapExceeded its run raised; [] for no noise fields.  The
+    the CapExceeded its run raised; [] for no noise fields, ValueError for
+    lattice fields of several models.  The
     replications run in lockstep as the pairs of `_Paired` states of at
     most _PAIRS pairs and _CELLS // window rows, and each gets the floats
     of its run alone.

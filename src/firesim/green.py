@@ -31,7 +31,7 @@ from .model import CapExceeded, NoiseField, RateProfile
 DEFAULT_SITE_CAP = 1 << 22
 DEFAULT_TIME_CAP = 1e4
 _GAP_BUDGET = 1 << 18      # gaps sample_green_reach_cont draws at once: 16 bytes a gap
-                           # (the gap and its replication index), 4 MiB in all
+                           # (its buffer slot and its bin index), 4 MiB in all
 _COLS, _ROWS = 16, 8       # first block of cells a continuous state reads
 _TREES = 1 << 18           # most trees a state that keeps burnt ones holds: 17 bytes a tree
 
@@ -271,32 +271,26 @@ def sample_green_reach_cont(rng_: np.random.Generator, t: float, size: int) -> n
     """
     p_stop = np.exp(-t)
     m = rng_.geometric(p_stop, size=size) - 1          # number of gaps <= 1
-    out = np.empty(size, dtype=float)
-
-    def gaps(n):    # n truncated Exp(t) on (0, 1], via inverse cdf, formed in place
-        u = rng_.random(n)
-        u *= -(1.0 - p_stop)     # sign flips are exact: the floats of -log1p(-u (1 - p)) / t
+    ends = np.cumsum(m)
+    total = int(ends[-1]) if size else 0
+    piece = max(_GAP_BUDGET, 1)
+    out = np.zeros(size)
+    # the gaps of all replications in order, a piece at a time, through one
+    # buffer: slot 0 carries the sum so far of the replication the piece
+    # starts inside, so bincount forms every sum in sequence, as in one draw
+    buf = np.empty(min(piece, total) + 1)
+    for g0 in range(0, total, piece):
+        n = min(piece, total - g0)
+        lo = int(np.searchsorted(ends, g0, side="right"))
+        hi = int(np.searchsorted(ends, g0 + n)) + 1
+        share = np.minimum(ends[lo:hi], g0 + n) - np.maximum(ends[lo:hi] - m[lo:hi], g0)
+        share[0] += 1
+        w = buf[:n + 1]
+        w[0] = out[lo]
+        u = rng_.random(out=w[1:])   # n truncated Exp(t) on (0, 1], by inverse cdf, in place:
+        u *= -(1.0 - p_stop)         # sign flips are exact, the floats of -log1p(-u (1 - p)) / t
         np.log1p(u, out=u)
         u /= -t
-        return u
-
-    # chunk replications so the flattened gap array stays modest: each chunk
-    # takes the longest run of replications whose gaps fit the budget, or one
-    # replication drawn in pieces that fit it and summed in order, as bincount sums
-    piece = max(_GAP_BUDGET, 1)
-    ends = np.cumsum(m)
-    lo = 0
-    while lo < size:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _GAP_BUDGET, side="right")))
-        total = int(ends[hi - 1]) - base
-        if total <= _GAP_BUDGET:
-            seg = np.repeat(np.arange(hi - lo), m[lo:hi])
-            out[lo:hi] = np.bincount(seg, weights=gaps(total), minlength=hi - lo)
-        else:
-            acc = np.zeros(1)
-            for k in range(0, total, piece):
-                acc = np.cumsum(np.concatenate([acc, gaps(min(piece, total - k))]))[-1:]
-            out[lo] = acc[0]
-        lo = hi
+        out[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), share), weights=w,
+                                 minlength=hi - lo)
     return out

@@ -504,6 +504,31 @@ def test_lattice_suite_on_continuous_model_exit_2(tmp_path, capsys, suite):
     assert "discrete model" in capsys.readouterr().err
 
 
+PERIODIC = {"kind": "periodic", "values": [0.5, 2.0], "c1": 0.5, "c2": 2.0}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("run", {"model": {"space": "discrete", "intensity": 7}}),
+    ("run", {"model": {"space": "continuous", "r": 2}}),
+    ("run", {"model": {"space": "continuous", "profile": {"kind": "constant", "value": 1.0}}}),
+    ("run", {"model": {"profile": {"kind": "constant", "values": [1.0]}}}),
+    ("run", {"model": {"profile": {**PERIODIC, "value": 1.0}}}),
+    ("run", {"model": {"profile": {**PERIODIC, "seed": 3}}}),
+    ("validate", {"validate": {"suite": "oracles", "horizon": 5.0}}),
+    *(("validate", {"validate": {"suite": "prop1", key: value}})
+      for key, value in (("n", 100), ("gamma", 1.5), ("k", 2))),
+], ids=["discrete-intensity", "continuous-r", "continuous-profile", "constant-values",
+        "periodic-value", "periodic-seed", "oracles-horizon", "prop1-n", "prop1-gamma",
+        "prop1-k"])
+def test_key_the_choice_does_not_read_exit_2(tmp_path, capsys, command, payload):
+    """A key that the chosen model space, profile kind or suite does not read
+    is refused, not ignored."""
+    cfg = write_cfg(tmp_path, "c.json", {"reps": 2, "run": {"targets": [4]}, **payload})
+    assert cli.main([command, "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+    assert "reads no" in capsys.readouterr().err
+
+
 def test_growth_with_no_completed_replication_exit_3(tmp_path):
     """Every replication stops at the time cap before n_k: the growth report
     fails at once, and the CLI says so with exit 3."""

@@ -506,3 +506,18 @@ def test_empty_batches_return_no_runs():
     """A batch of no noise fields has no model to read and runs nothing."""
     assert fire.run_fires([], targets=[4]) == []
     assert fire.run_blue_experiments([], 6, 3, reach_window=64) == []
+
+
+def test_batches_of_several_models_raise():
+    """A lattice batch runs every row on one model, so noise fields of two
+    models raise instead of running the second under the first's rates."""
+    a = ModelConfig(r=1, profile=RateProfile.periodic([0.5, 2.0], 0.5, 2.0))
+    b = ModelConfig(r=2, profile=RateProfile.constant(1.0))
+    noises = [NoiseField(9, a), NoiseField(1, b)]
+    with pytest.raises(ValueError, match="one model"):
+        fire.run_fires(noises, targets=[12])
+    with pytest.raises(ValueError, match="one model"):
+        fire.run_blue_experiments(noises, 5, 2, reach_window=64)
+    # equal models built apart are one model
+    same = [NoiseField(s, ModelConfig(r=2, profile=RateProfile.constant(1.0))) for s in (0, 1)]
+    assert fire.run_fires(same, targets=[12]) == [fire.run_fire(n, targets=[12]) for n in same]

@@ -326,14 +326,16 @@ def _reach_cont_loop_reference(rng_, t, size, budget, connect=1.0):
     return out
 
 
-@pytest.mark.parametrize("budget", [None, 0, 1, 7, 40])
+@pytest.mark.parametrize("budget", [None, 0, 1, 3, 7, 19, 40])
 def test_continuous_sampler_chunks_match_loop(monkeypatch, budget):
-    """Chunk boundaries from the cumulative gap count are the greedy loop's,
-    so the draws are bit-identical, also when one replication alone passes
-    the budget."""
+    """Pieces of the gap stream, with a replication's sum carried from one
+    piece into the next, give the floats of the greedy per-replication
+    chunks, also when one replication alone passes the budget, for no
+    replications and for replications with no gaps."""
     if budget is not None:
         monkeypatch.setattr(green, "_GAP_BUDGET", budget)
-    for seed, t, size in ((1, 0.5, 1), (2, 1.0, 500), (3, 3.0, 200), (4, 0.05, 300)):
+    for seed, t, size in ((1, 0.5, 1), (2, 1.0, 500), (3, 3.0, 200), (4, 0.05, 300),
+                          (5, 1.0, 0), (6, 1e-9, 50)):
         fast = green.sample_green_reach_cont(rep_rng(seed, 0), t, size)
         ref = _reach_cont_loop_reference(rep_rng(seed, 0), t, size, green._GAP_BUDGET)
         assert np.array_equal(fast, ref)
@@ -341,10 +343,11 @@ def test_continuous_sampler_chunks_match_loop(monkeypatch, budget):
 
 def test_continuous_sampler_draws_within_budget(monkeypatch):
     """A replication with more gaps than the budget (about e^8 at t = 8) is
-    drawn in pieces of at most the budget, with the floats of one draw."""
+    drawn in pieces of at most the budget, each filled into a slice of one
+    buffer, with the floats of one draw."""
     want = green.sample_green_reach_cont(rep_rng(8, 0), 8.0, 4)
     monkeypatch.setattr(green, "_GAP_BUDGET", 500)
-    sizes = []
+    sizes, fills = [], []
 
     class Spy:
         def __init__(self, gen):
@@ -353,10 +356,13 @@ def test_continuous_sampler_draws_within_budget(monkeypatch):
         def geometric(self, p, size):
             return self.gen.geometric(p, size=size)
 
-        def random(self, n):
-            sizes.append(n)
-            return self.gen.random(n)
+        def random(self, n=None, out=None):
+            fills.append(out)
+            sizes.append(n if out is None else len(out))
+            return self.gen.random(n, out=out)
 
     got = green.sample_green_reach_cont(Spy(rep_rng(8, 0)), 8.0, 4)
     assert max(sizes) <= 500 < sum(sizes)
+    assert all(isinstance(f, np.ndarray) and f.base is fills[0].base is not None
+               for f in fills)
     assert np.array_equal(got, want)

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in firesim is read, every
 private name it defines is named somewhere else in it, no module-level
 name is defined in two of its modules, every parameter default is
-passed by some caller, and no function takes a noise field and a model
-config both."""
+passed by some caller, no function takes a noise field and a model
+config both, and every config key the CLI accepts is one it reads."""
 
 import ast
 import math
@@ -204,3 +204,30 @@ def test_no_function_takes_a_noise_field_and_a_config(path):
     config beside it could name another model, and a run would mix the
     two."""
     assert noise_with_config(path.read_text()) == []
+
+
+def unread_table_keys(source: str) -> list[str]:
+    """The strings that the set displays of `source`'s module-level `*_KEYS`
+    tables name and no string literal outside those tables does."""
+    tree = ast.parse(source)
+    tables = [node for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id.endswith("_KEYS") for t in node.targets)]
+    in_tables = {id(node) for table in tables for node in ast.walk(table)}
+    named = {elt.value for table in tables for node in ast.walk(table)
+             if isinstance(node, ast.Set) for elt in node.elts
+             if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
+    read = {node.value for node in ast.walk(tree) if id(node) not in in_tables
+            and isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(named - read)
+
+
+def test_unread_table_keys_finds_only_keys_named_in_tables_alone():
+    src = ('_TOP_KEYS = {"a", "b"}\n_KIND_KEYS = {"x": {"c", "d"}, "y": {"e"}}\n'
+           '_OTHER = {"f"}\ndef g(spec):\n    return spec.get("a"), spec["d"], "x", "f"\n')
+    assert unread_table_keys(src) == ["b", "c", "e"]
+
+
+def test_every_cli_config_key_is_read():
+    """A key the CLI accepts but never looks up would be ignored silently."""
+    source = (pathlib.Path(firesim.__file__).parent / "cli.py").read_text()
+    assert unread_table_keys(source) == []

@@ -15,6 +15,7 @@ and matches both the brute-force event count and the r=2 closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,9 +293,17 @@ def green_laplace_cont(lambda_arg: float, t: float) -> float:
 
 
 def green_moments_cont(t: float) -> tuple[float, float]:
-    """(mean, variance) of the continuous green reach at time t."""
+    """(mean, variance) of the continuous green reach at time t: the closed
+    forms from t = 0.1 up, and below, where they cancel, their Taylor series
+    sum_{k>=2} t^(k-1)/k! and sum_{k>=3} (2^k - 2k) t^(k-2)/k!, whose 20
+    terms reach double precision."""
     if t <= 0:
         raise ValueError("need t > 0")
+    if t < 0.1:
+        c = [0.5]                   # c[k - 2] = t^(k-2) / k!
+        for k in range(3, 23):
+            c.append(c[-1] * t / k)
+        return t * math.fsum(c), math.fsum((2 ** k - 2 * k) * ck for k, ck in enumerate(c[1:], 3))
     mean = (np.exp(t) - 1 - t) / t
     var = (np.exp(2 * t) - 1 - 2 * t * np.exp(t)) / t ** 2
     return float(mean), float(var)

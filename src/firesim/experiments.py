@@ -407,15 +407,10 @@ def estimate_growth(config: ModelConfig, gamma: float, k: int, reps: int,
     grad = np.array([1.0, -m, -b])
     gap = a - b * m
     gap_sigma = float(np.sqrt(grad @ cov @ grad / npts))
-    # P(A_i) = P(M > i), truncated at the first empirical zero
-    p_a = []
-    i = 1
-    while True:
-        p = float((M > i).mean())
-        if p == 0.0:
-            break
-        p_a.append(p)
-        i += 1
+    # P(A_i) = P(M > i) up to its first empirical zero, at i = max M, as M >= 1:
+    # the fire that first reaches n_{k+1} meets n_k
+    i = int(M.max())
+    p_a = [float((M > j).mean()) for j in range(1, i)]
     identity_ok = bool(abs(gap) <= 3 * gap_sigma)
     ratio_ok = bool(ratio < report["ratio_bound"])
     return {**report, "E_tau_nk": float(b), "E_tau_nk1": float(a), "ratio": float(ratio),

@@ -21,7 +21,7 @@ distributional estimates use it, pathwise checks do not.
 Lattice replications run in lockstep: a lattice state holds R
 replications as rows x sites arrays, one master seed per row.  Each step
 takes the next ignition of every live row, runs one vacant-run scan over
-all rows, advances the burnt, occupied sites of all rows in one draw and
+all rows, advances the burnt, occupied sites of all rows in one call and
 drops the rows that finished.  Every draw is a pure function of (row seed,
 site, draw index) and every arrival sum is formed along its own row, so a
 row's floats are those of its run alone.  `run_fires` runs a list of
@@ -119,7 +119,7 @@ class _Lattice:
     arrivals from time 0, read for all rows together in blocks of 64; site
     0's own entry is never read.  Every row's floats are pure in (its seed,
     site, draw index), so a row equals its run alone.  `NoiseField.advance`
-    bounds the draws a step takes.
+    moves burnt sites in place and bounds the draws and gathers a step takes.
     """
 
     def __init__(self, noises: list[NoiseField], cap: int):
@@ -143,29 +143,14 @@ class _Lattice:
         row's t0; lam and stream per site, cursor and time per row and site."""
         lam = self.noise.config.profile.rates(lo, hi)
         stream = rng.site_stream(np.arange(lo, hi))
-        shape = (self.rows, hi - lo)
-        state = self.noise.advance(np.broadcast_to(stream, shape).ravel(),
-                                   np.broadcast_to(lam, shape).ravel(), 0.0, 0,
-                                   np.broadcast_to(self.t0[:, None], shape).ravel(),
-                                   np.broadcast_to(self.seed[:, None], shape).ravel())
-        return (lam, stream, *(a.reshape(shape) for a in state))
-
-    def _marked(self, burnt: np.ndarray, t: np.ndarray):
-        """Views of cursor and time over sites 1..w, with the stream id,
-        rate, time and seed of each site that `burnt` (rows x sites 1..w)
-        marks, in the mask's row-major order; t holds the rows' times."""
-        w = burnt.shape[1]
-        row, site = np.divmod(np.flatnonzero(burnt), w)
-        site += 1
-        return ([a[:, 1:w + 1] for a in self.cursor], self.time[:, 1:w + 1],
-                self.stream[site], self.lam[site], t[row], self.seed[row])
+        return (lam, stream, *self.noise._first_arrivals(stream, lam, self.t0, self.seed))
 
     def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
         """Vacate the occupied sites that `burnt` (rows x sites 1..w) marks,
         each at its row's time in t."""
-        (unit, count), time, stream, lam, t, seed = self._marked(burnt, t)
-        unit[burnt], count[burnt], time[burnt] = self.noise.advance(
-            stream, lam, unit[burnt], count[burnt], t, seed)
+        w = burnt.shape[1]
+        state = [a[:, 1:w + 1] for a in (*self.cursor, self.time)]
+        self.noise.advance(self.stream[1:w + 1], self.lam[1:w + 1], *state, t, self.seed, burnt)
 
     def _grow(self, width: int) -> None:
         """Materialise sites up to `width` in every row."""
@@ -242,7 +227,11 @@ class _Memoryless(_Lattice):
             stream, lam, 0, self.t0[:, None], self.seed[:, None])
 
     def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
-        (burns,), time, stream, lam, t, seed = self._marked(burnt, t)
+        w = burnt.shape[1]
+        burns, time = self.cursor[0][:, 1:w + 1], self.time[:, 1:w + 1]
+        row, site = np.divmod(np.flatnonzero(burnt), w)
+        stream, lam, t, seed = self.stream[site + 1], self.lam[site + 1], t[row], self.seed[row]
+        del row, site    # freed before the draw, which peaks with its temporaries
         k = burns[burnt] + 1
         burns[burnt] = k
         time[burnt] = self.noise.vacancy_arrivals(stream, lam, k, t, seed)

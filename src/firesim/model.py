@@ -142,16 +142,9 @@ def _poisson_cdf(mean: float) -> np.ndarray:
     return cdf
 
 
-# Most exponentials NoiseField.advance draws at once.  Its temporaries peak at
-# about 50 B a draw: 6.6 MB at 2^17, 12.5 MB at 2^18 (tracemalloc).
+# Most sites NoiseField.advance gathers, and exponentials it draws, at once.
+# Its temporaries peak at about 50 B a draw: 6.6 MB at 2^17 (tracemalloc).
 _BLOCK = 1 << 17
-
-
-def _filled(x, n: int, dtype) -> np.ndarray:
-    """A new array of n entries of dtype, x broadcast into it."""
-    out = np.empty(n, dtype=dtype)
-    out[...] = x
-    return out
 
 
 class NoiseField:
@@ -161,12 +154,12 @@ class NoiseField:
     exponentials divided by lambda_x, exponential k being counter k of the
     stream of (master_seed, x).  Nothing is stored: a reader keeps, per
     site, the current partial sum and the count of exponentials in it, and
-    `advance` moves those states forward; `arrivals_before` reads one site's
-    stream in order.  Scaling every rate by c > 0 divides every arrival
-    time by c pathwise.  `vacancy_arrivals` draws from a second stream per
-    site, one exponential per vacancy, for readers that need only the law.
-    Both take a master seed per site, so one call can serve sites of many
-    replications (the lockstep lattice state of `fire`).
+    `advance` moves those states forward in place; `arrivals_before` reads
+    one site's stream in order.  Scaling every rate by c > 0 divides every
+    arrival time by c pathwise.  `vacancy_arrivals` draws from a second
+    stream per site, one exponential per vacancy, for readers that need
+    only the law.  Both take master seeds by row or site, so one call can
+    serve sites of many replications (the lockstep lattice state of `fire`).
 
     Continuous: a space-time Poisson point set of the configured intensity,
     generated per unit cell from (master_seed, cell), so window growth
@@ -198,44 +191,49 @@ class NoiseField:
         sums = np.cumsum(np.concatenate([unit[:, None], e], axis=1), axis=1)[:, 1:]
         return sums, sums / lam[:, None]
 
-    def advance(self, stream, lam, unit, count, t, seed=None):
-        """Move each site to its first arrival strictly after t[i].
+    def advance(self, stream, lam, unit, count, time, t, seed, move) -> None:
+        """Move each site that the mask `move` marks to its first arrival
+        strictly after its row's time, in place.
 
-        The sites are 1-D arrays: stream[i] is site i's stream id
-        (`rng.site_stream`), lam[i] its rate and (unit[i], count[i]) its
-        state: the sum of its first count[i] unit-rate exponentials, i.e.
-        its count[i]-th arrival in unit time, and (0.0, 0) before its first
-        arrival.  seed[i] is the master seed of the site's replication,
-        this field's by default.  unit, count, t and seed broadcast.
-        Returns the new (unit, count, time) arrays, where time = unit / lam
-        > t.
+        unit, count and time are rows x sites arrays, views allowed: a
+        site's (unit, count) is the sum of its first `count` unit-rate
+        exponentials, its count-th arrival in unit time ((0.0, 0) before its
+        first), and its time, written and not read, is unit / lam.  stream
+        and lam hold one entry per site, its stream id (`rng.site_stream`)
+        and rate; t and seed one per row, its time and its replication's
+        master seed.  The marked sites go in row-major order, in slices of
+        at most _BLOCK, and only the slice in hand is gathered.
         """
-        n = len(stream)
-        seed = _filled(self.master_seed if seed is None else seed, n, np.uint64)
-        t = _filled(t, n, float)
-        unit = _filled(unit, n, float)
-        count = _filled(count, n, np.int64)
-        time = unit / lam
-        if n > _BLOCK:    # in slices of _BLOCK sites, so that no pass draws more
-            for at in (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)):
-                unit[at], count[at], time[at] = self.advance(
-                    stream[at], lam[at], unit[at], count[at], t[at], seed[at])
-            return unit, count, time
-        todo = np.flatnonzero((count == 0) | (time <= t))
-        while len(todo):
-            at = slice(None) if len(todo) == n else todo   # views when all move
-            # enough steps for most sites to pass t, within a bounded block
-            need = max(float(np.max(lam[at] * (t[at] - time[at]))), 0.0)
-            width = max(1, min(int(need + 2 * math.sqrt(need)) + 1, _BLOCK // len(todo)))
-            sums, times = self._arrival_block(seed[at], stream[at], lam[at], unit[at],
-                                              count[at], width)
-            past = times > t[at, None]
-            k = np.where(past.any(axis=1), past.argmax(axis=1), width - 1)
-            rows = np.arange(len(todo))
-            unit[at], time[at] = sums[rows, k], times[rows, k]
-            count[at] += k + 1
-            todo = todo[time[todo] <= t[todo]]
-        return unit, count, time
+        marked, w = np.flatnonzero(move), move.shape[1]
+        for lo in range(0, len(marked), _BLOCK):
+            row = marked[lo:lo + _BLOCK] // w     # np.divmod on int64 takes 8 times as long
+            site = marked[lo:lo + _BLOCK] - row * w
+            s_stream, s_lam, s_t, s_seed = stream[site], lam[site], t[row], seed[row]
+            s_unit, s_count = unit[row, site], count[row, site]
+            s_time = s_unit / s_lam     # cheaper than a gather, and the same floats
+            todo = np.flatnonzero((s_count == 0) | (s_time <= s_t))
+            while len(todo):
+                at = slice(None) if len(todo) == len(site) else todo   # views when all move
+                # enough steps for most sites to pass t, within a bounded block
+                need = max(float(np.max(s_lam[at] * (s_t[at] - s_time[at]))), 0.0)
+                width = max(1, min(int(need + 2 * math.sqrt(need)) + 1, _BLOCK // len(todo)))
+                sums, times = self._arrival_block(s_seed[at], s_stream[at], s_lam[at],
+                                                  s_unit[at], s_count[at], width)
+                past = times > s_t[at, None]
+                k = np.where(past.any(axis=1), past.argmax(axis=1), width - 1)
+                rows = np.arange(len(todo))
+                s_unit[at], s_time[at] = sums[rows, k], times[rows, k]
+                s_count[at] += k + 1
+                todo = todo[s_time[todo] <= s_t[todo]]
+            unit[row, site], count[row, site], time[row, site] = s_unit, s_count, s_time
+
+    def _first_arrivals(self, stream, lam, t, seed) -> list:
+        """[unit, count, time] of each site's first arrival strictly after
+        its row's time, as rows x sites arrays (see `advance`)."""
+        shape = (len(t), len(stream))
+        state = [np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape)]
+        self.advance(stream, lam, *state, t, seed, np.ones(shape, dtype=bool))
+        return state
 
     def vacancy_arrivals(self, stream, lam, k, t, seed):
         """Arrival that ends vacancy k of a site, begun at t: t + E / lam,
@@ -264,8 +262,9 @@ class NoiseField:
 
         With t = 0 these are the sites' first arrivals.
         """
-        lam = self.config.profile.rates(start, stop)
-        return self.advance(rng.site_stream(np.arange(start, stop)), lam, 0.0, 0, t)[2]
+        return self._first_arrivals(rng.site_stream(np.arange(start, stop)),
+                                    self.config.profile.rates(start, stop), np.array([float(t)]),
+                                    np.array([self.master_seed], dtype=np.uint64))[2][0]
 
     # ----- continuous -----------------------------------------------------
     def cells(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:

@@ -7,7 +7,9 @@ r in {1, 2, 3} under constant, periodic and iid-uniform rate profiles.
 `tests/data/memoryless_golden.json` pins the `run_fire` traces of the
 memoryless state (`coupled=False`) on the same grid.  Floats are stored
 by repr and compared with `==`, so any change to the arrival sums, the
-vacancy draws or the burn rule shows here.
+vacancy draws or the burn rule shows here.  `test_draw_counts_are_pinned`
+pins how many exponentials the coupled state draws, which the floats do
+not show.
 
 The `reach_window` entries pin runs to time 6 that censored every burn at
 a fixed window of 256 sites, a mode `run_fire` no longer has.  They are
@@ -26,7 +28,7 @@ import pathlib
 
 import pytest
 
-from firesim import fire
+from firesim import experiments, fire
 from firesim.model import CapExceeded, ModelConfig, NoiseField, RateProfile
 from firesim.rng import replication_seed
 
@@ -166,6 +168,40 @@ def test_blue_batch_matches_golden(golden, monkeypatch, r, profile):
             got = ["CapExceeded" if isinstance(res, CapExceeded) else _records(res)
                    for res in batch]
             assert json.loads(json.dumps(got)) == want, (name, pairs)
+
+
+# exponentials `NoiseField._arrival_block` draws: the golden `blue` case
+# over seeds 0-3 by (r, profile), and one lattice `prop1` replication
+BLUE_DRAWS = {(1, "constant"): 118147, (1, "periodic"): 114204, (1, "iid-uniform"): 107512,
+              (2, "constant"): 62284, (2, "periodic"): 73108, (2, "iid-uniform"): 56434,
+              (3, "constant"): 49308, (3, "periodic"): 64193, (3, "iid-uniform"): 39717}
+PROP1_DRAWS = 242741
+
+
+def _drawn(run) -> int:
+    """The exponentials `run()` draws through `NoiseField._arrival_block`."""
+    drawn, block = [0], NoiseField._arrival_block
+
+    def counted(self, *args):
+        sums, times = block(self, *args)
+        drawn[0] += sums.size
+        return sums, times
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NoiseField, "_arrival_block", counted)
+        run()
+    return drawn[0]
+
+
+def test_draw_counts_are_pinned():
+    """The draw widths of the coupled state, pinned by the exponentials it
+    draws; the floats it keeps do not show them.  A change that means to
+    draw differently updates these counts."""
+    for r, profile in BLUE_DRAWS:
+        got = _drawn(lambda: [_run(RUNS, "blue", r, profile, seed) for seed in SEEDS])
+        assert got == BLUE_DRAWS[r, profile], (r, profile)
+    cfg = ModelConfig(space="discrete", r=1, profile=PROFILES["periodic"])
+    assert _drawn(lambda: experiments.validate_prop1(cfg, 20.0, 1, 7, (4, 16))) == PROP1_DRAWS
 
 
 if __name__ == "__main__":

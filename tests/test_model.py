@@ -157,16 +157,21 @@ def test_arrivals_are_sequential_partial_sums():
 
 
 def test_block_size_never_changes_floats(monkeypatch):
-    """`advance` returns the same floats whatever `_BLOCK` splits its draws
-    into: about 2,000 sites of 3 seeds, advanced to t = 40."""
+    """`advance` leaves the same floats whatever `_BLOCK` splits its draws
+    into: 700 sites in rows of 3 seeds, advanced to t = 40, then the sites
+    a random mask marks, on a view from site 2 on, to a time per row."""
     prof = RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3)
     noise = NoiseField(5, ModelConfig(space="discrete", r=1, profile=prof))
-    sites = np.arange(1, 701)
-    stream, lam = np.tile(rng.site_stream(sites), 3), np.tile(prof.rates(1, 701), 3)
-    seed = np.repeat(np.array([5, 17, 2 ** 63 + 9], dtype=np.uint64), len(sites))
+    stream, lam = rng.site_stream(np.arange(1, 701)), prof.rates(1, 701)
+    seed = np.array([5, 17, 2 ** 63 + 9], dtype=np.uint64)
+    move = np.random.default_rng(3).random((3, 699)) < 0.5
 
     def advance():
-        return noise.advance(stream, lam, 0.0, 0, 40.0, seed)
+        state = [np.zeros((3, 700)), np.zeros((3, 700), dtype=np.int64), np.zeros((3, 700))]
+        noise.advance(stream, lam, *state, np.full(3, 40.0), seed, np.ones((3, 700), bool))
+        noise.advance(stream[1:], lam[1:], *(a[:, 1:] for a in state),
+                      np.array([50.0, 55.0, 60.0]), seed, move)
+        return state
 
     default = advance()
     monkeypatch.setattr(model, "_BLOCK", 64)
@@ -176,11 +181,11 @@ def test_block_size_never_changes_floats(monkeypatch):
 
 def test_advance_memory_is_bounded_past_the_block():
     """One `advance` of 2^19 sites, four times `_BLOCK`, to t = 3 goes in
-    slices of `_BLOCK` sites: its traced peak is its filled arrays, 40 B a
-    site (20 MiB), and the temporaries of one slice, about 40 MiB in all.
-    One pass over all the sites, one draw each, peaked at 82 MiB.  Tracing
-    that is already on is kept, and only the growth past what it holds at
-    the start counts."""
+    slices of `_BLOCK` sites: its traced peak is the state it moves in
+    place, its mask and the mask's indices, 33 B a site (16.5 MiB), and
+    the temporaries of one slice, about 41 MiB in all.  One pass over all
+    the sites, one draw each, peaked at 82 MiB.  Tracing that is already on is kept, and only
+    the growth past what it holds at the start counts."""
     prof = RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3)
     noise = NoiseField(5, ModelConfig(space="discrete", r=1, profile=prof))
     n = 1 << 19
@@ -190,7 +195,9 @@ def test_advance_memory_is_bounded_past_the_block():
     tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        unit, count, time = noise.advance(stream, lam, 0.0, 0, 3.0)
+        unit, count, time = np.zeros((1, n)), np.zeros((1, n), dtype=np.int64), np.zeros((1, n))
+        noise.advance(stream, lam, unit, count, time, np.array([3.0]),
+                      np.array([5], dtype=np.uint64), np.ones((1, n), dtype=bool))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:

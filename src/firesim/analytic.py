@@ -271,9 +271,9 @@ def char_root(alpha: float, r: int) -> float:
 
 
 def homog_threshold(n: float, r: int) -> float:
-    """Critical time scale log(n)/r of the homogeneous model."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    """Critical time scale log(n)/r of the homogeneous model; n >= max(2, r)."""
+    if n < max(2, r):
+        raise ValueError("need n >= 2 and n >= r")
     return float(np.log(n) / r)
 
 

@@ -208,16 +208,13 @@ def _header(cfg: dict, seed: int, extra: list[str] = ()) -> list[str]:
 # replication workers (module level: must be picklable)
 # ---------------------------------------------------------------------------
 
-_REP_BLOCK = 32   # most lattice replications one `run` job steps in lockstep
-
-
 def _rep_blocks(model: ModelConfig, reps: int, workers: int) -> list[range]:
     """The replication indices of `run`'s jobs, in order: one replication a
     job on the continuous model, which has no lockstep form; on the lattice
-    blocks of at most _REP_BLOCK, small enough that every worker gets one.
-    Each replication has the floats of its run alone, so the blocks do not
-    change the output."""
-    block = 1 if model.space == "continuous" else min(_REP_BLOCK, -(-reps // max(1, workers)))
+    one block a worker, which `fire.run_fires` steps in lockstep blocks
+    within its cell budget.  Each replication has the floats of its run
+    alone, so the blocks do not change the output."""
+    block = 1 if model.space == "continuous" else -(-reps // max(1, workers))
     return [range(lo, min(lo + block, reps)) for lo in range(0, reps, block)]
 
 
@@ -333,7 +330,7 @@ def cmd_validate(cfg: dict, args) -> int:
         if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) \
                 or not 0 < epsilon < 1:
             raise ConfigError(f"validate.epsilon must be a number in (0, 1); got {epsilon!r}")
-        n = _integer(section.get("n", 10_000), "validate.n", 2, most=fire.DEFAULT_SITE_CAP)
+        n = _integer(section.get("n", 10**4), "validate.n", max(2, model.r), fire.DEFAULT_SITE_CAP)
         report = experiments.validate_thresholds(model, n, float(epsilon), reps, seed)
     elif suite == "permutation":
         if model.r != 1:

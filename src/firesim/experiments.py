@@ -448,10 +448,9 @@ def scaling_study(config: ModelConfig, x_grid, reps: int, master_seed: int,
         })
         if x > 1 and vals:
             min_ratio = min(min_ratio, min(vals) / math.log(x))
-    # the fit uses the rows where log log x is finite (x > 1) and that have
-    # data, i.e. a finite mean
-    fit = [(row["x"], row["mean_tau"]) for row in rows
-           if row["x"] > 1 and not math.isnan(row["mean_tau"])]
+    # fit the distinct points (a repeated x has equal rows) of x > 1 and a finite mean
+    fit = list(dict.fromkeys((row["x"], row["mean_tau"]) for row in rows
+                             if row["x"] > 1 and not math.isnan(row["mean_tau"])))
     kappa = math.nan
     if len(fit) >= 2:
         xs, means = np.array(fit, dtype=float).T

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import rng
 from .green import DEFAULT_SITE_CAP, DEFAULT_TIME_CAP, _Continuum, first_vacant_run
-from .model import CapExceeded, ModelConfig, NoiseField
+from .model import CapExceeded, ModelConfig, NoiseField, _mask_blocks
 
 
 @dataclass
@@ -148,9 +148,8 @@ class _Lattice:
     def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
         """Vacate the occupied sites that `burnt` (rows x sites 1..w) marks,
         each at its row's time in t."""
-        w = burnt.shape[1]
-        state = [a[:, 1:w + 1] for a in (*self.cursor, self.time)]
-        self.noise.advance(self.stream[1:w + 1], self.lam[1:w + 1], *state, t, self.seed, burnt)
+        state = [a[:, 1:] for a in (*self.cursor, self.time)]
+        self.noise.advance(self.stream[1:], self.lam[1:], *state, t, self.seed, burnt)
 
     def _grow(self, width: int) -> None:
         """Materialise sites up to `width` in every row."""
@@ -182,17 +181,14 @@ class _Lattice:
         """
         cap, r = self.cap, self.r
         m = min(64, cap)
-        j0 = first_vacant_run(self.time[:, 1:m] > t[:, None], r)
+        while True:    # until every row has a run in sites 1..m-1, or m is the cap
+            j0 = first_vacant_run(self.time[:, 1:m] > t[:, None], r)
+            if m == cap or j0.min() >= 0:
+                break
+            m = min(2 * m, cap)
+            if m > self.time.shape[1]:
+                self._grow(m)
         censored = j0 < 0
-        if censored.any():
-            todo = np.flatnonzero(censored)
-            while len(todo) and m < cap:
-                m = min(2 * m, cap)
-                if m > self.time.shape[1]:
-                    self._grow(m)
-                j0[todo] = first_vacant_run(self.time[todo, 1:m] > t[todo, None], r)
-                todo = todo[j0[todo] < 0]
-            censored = j0 < 0
         last = np.where(censored, cap - 1, j0 + (r - 1))   # the last site burnt
         reach = last + censored
         width = int(last.max())
@@ -215,8 +211,9 @@ class _Memoryless(_Lattice):
 
     Each vacancy takes one fresh draw (see the module docstring): a site's
     cursor is its burns so far, k, and its vacancy k ends at its start plus
-    draw k of its vacancy stream over lambda_x.  A row's floats therefore
-    depend on (seed, site, k) only, not on how far sites are materialised.
+    draw k of its vacancy stream over lambda_x, drawn in the column blocks
+    of `model._mask_blocks`.  So a row's floats depend on (seed, site, k)
+    only, not on how far sites are materialised or on the blocks.
     """
 
     def _vacant(self, lo: int, hi: int):
@@ -227,14 +224,14 @@ class _Memoryless(_Lattice):
             stream, lam, 0, self.t0[:, None], self.seed[:, None])
 
     def _advance(self, burnt: np.ndarray, t: np.ndarray) -> None:
-        w = burnt.shape[1]
-        burns, time = self.cursor[0][:, 1:w + 1], self.time[:, 1:w + 1]
-        row, site = np.divmod(np.flatnonzero(burnt), w)
-        stream, lam, t, seed = self.stream[site + 1], self.lam[site + 1], t[row], self.seed[row]
-        del row, site    # freed before the draw, which peaks with its temporaries
-        k = burns[burnt] + 1
-        burns[burnt] = k
-        time[burnt] = self.noise.vacancy_arrivals(stream, lam, k, t, seed)
+        for cols, block, row, site in _mask_blocks(burnt):
+            burns, time = self.cursor[0][:, 1:][:, cols], self.time[:, 1:][:, cols]
+            site += cols.start + 1
+            stream, lam, t_row, seed = self.stream[site], self.lam[site], t[row], self.seed[row]
+            del row, site    # freed before the draw, which peaks with its temporaries
+            k = burns[block] + 1
+            burns[block] = k
+            time[block] = self.noise.vacancy_arrivals(stream, lam, k, t_row, seed)
 
 
 class _Paired(_Lattice):

@@ -142,9 +142,17 @@ def _poisson_cdf(mean: float) -> np.ndarray:
     return cdf
 
 
-# Most sites NoiseField.advance gathers, and exponentials it draws, at once.
-# Its temporaries peak at about 50 B a draw: 6.6 MB at 2^17 (tracemalloc).
+# Most cells a mask walk gathers, and exponentials NoiseField.advance draws,
+# at once.  Its temporaries peak at about 50 B a draw: 6.6 MB at 2^17 (tracemalloc).
 _BLOCK = 1 << 17
+
+
+def _mask_blocks(mask):
+    """(cols, block, row, site) per column block of `mask`: _BLOCK cells at most, or one column."""
+    step, w = max(1, _BLOCK // max(len(mask), 1)), mask.shape[1]
+    for lo in range(0, w, step):
+        cols = slice(lo, min(lo + step, w))
+        yield cols, mask[:, cols], *np.nonzero(mask[:, cols])
 
 
 class NoiseField:
@@ -195,21 +203,19 @@ class NoiseField:
         """Move each site that the mask `move` marks to its first arrival
         strictly after its row's time, in place.
 
-        unit, count and time are rows x sites arrays, views allowed: a
-        site's (unit, count) is the sum of its first `count` unit-rate
-        exponentials, its count-th arrival in unit time ((0.0, 0) before its
-        first), and its time, written and not read, is unit / lam.  stream
-        and lam hold one entry per site, its stream id (`rng.site_stream`)
-        and rate; t and seed one per row, its time and its replication's
-        master seed.  The marked sites go in row-major order, in slices of
-        at most _BLOCK, and only the slice in hand is gathered.
+        unit, count and time are rows x sites arrays, views allowed, read
+        only in the mask's columns: a site's (unit, count) is the sum of its
+        first `count` unit-rate exponentials, its count-th arrival in unit
+        time ((0.0, 0) before its first), and its time, written and not
+        read, is unit / lam.  stream and lam hold one entry per site, its
+        stream id (`rng.site_stream`) and rate; t and seed one per row, its
+        time and its replication's master seed.  The mask goes in
+        `_mask_blocks`, and only the block in hand is gathered.
         """
-        marked, w = np.flatnonzero(move), move.shape[1]
-        for lo in range(0, len(marked), _BLOCK):
-            row = marked[lo:lo + _BLOCK] // w     # np.divmod on int64 takes 8 times as long
-            site = marked[lo:lo + _BLOCK] - row * w
-            s_stream, s_lam, s_t, s_seed = stream[site], lam[site], t[row], seed[row]
-            s_unit, s_count = unit[row, site], count[row, site]
+        for cols, block, row, site in _mask_blocks(move):
+            state = [a[:, cols] for a in (unit, count, time)]
+            s_stream, s_lam, s_t, s_seed = stream[cols][site], lam[cols][site], t[row], seed[row]
+            s_unit, s_count = state[0][block], state[1][block]
             s_time = s_unit / s_lam     # cheaper than a gather, and the same floats
             todo = np.flatnonzero((s_count == 0) | (s_time <= s_t))
             while len(todo):
@@ -225,7 +231,7 @@ class NoiseField:
                 s_unit[at], s_time[at] = sums[rows, k], times[rows, k]
                 s_count[at] += k + 1
                 todo = todo[s_time[todo] <= s_t[todo]]
-            unit[row, site], count[row, site], time[row, site] = s_unit, s_count, s_time
+            state[0][block], state[1][block], state[2][block] = s_unit, s_count, s_time
 
     def _first_arrivals(self, stream, lam, t, seed) -> list:
         """[unit, count, time] of each site's first arrival strictly after

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_run_determinism_across_workers(tmp_path):
 
 
 @pytest.mark.parametrize("space,reps,workers,sizes", [
-    ("discrete", 100, 1, [32, 32, 32, 4]),
+    ("discrete", 100, 1, [100]),
     ("discrete", 100, 8, [13] * 7 + [9]),
     ("discrete", 5, 8, [1] * 5),
     ("continuous", 5, 1, [1] * 5),
@@ -318,6 +319,9 @@ def _validate(**section):
     ("validate", _validate(suite="thresholds", n=2 ** 22 + 1), []),
     ("validate", _validate(suite="thresholds", n=100, epsilon=1.5), []),
     ("validate", _validate(suite="thresholds", n=100, epsilon=0), []),
+    *(("validate", {"model": {"r": 3, "profile": profile}, **_validate(suite="thresholds", n=2)},
+       []) for profile in ({"kind": "periodic", "values": [0.501], "c1": 0.5, "c2": 1.0},
+                           {"kind": "constant", "value": 1.0})),
     ("validate", _validate(suite="prop1", horizon=-1), []),
     ("validate", _validate(suite="prop1", horizon="5"), []),
     ("validate", _validate(suite="prop1", targets="ab"), []),
@@ -345,7 +349,8 @@ def _validate(**section):
 ], ids=["k-max-zero", "k-max-fraction", "gamma-string", "lemma1-k-zero", "lemma1-cycles-zero",
         "alpha-k-negative", "alpha-k-zero", "growth-k-zero", "growth-k-past-the-cap",
         "growth-gamma-string", "thresholds-n-zero", "thresholds-n-past-the-site-cap",
-        "thresholds-epsilon-above-1", "thresholds-epsilon-zero", "prop1-horizon-negative", "prop1-horizon-string",
+        "thresholds-epsilon-above-1", "thresholds-epsilon-zero", "thresholds-n-below-r-periodic",
+        "thresholds-n-below-r-constant", "prop1-horizon-negative", "prop1-horizon-string",
         "prop1-targets-string", "permutation-x-zero", "permutation-not-of-1..x",
         "permutation-r-3", "t-values-zero", "t-values-negative", "t-values-empty",
         "t-values-string", "t-values-past-the-gap-budget",
@@ -427,6 +432,17 @@ def test_sweep_fits_kappa_on_x_above_1(tmp_path, capfd, model, grid, fitted):
     assert kappa[0] == kappa[1] and math.isfinite(float(kappa[0].split()[-1]))
     assert len(outs[0]) - len(outs[1]) == len(grid) - len(fitted)
     assert capfd.readouterr().out == ""
+
+
+def test_sweep_with_a_repeated_x_fits_no_kappa(tmp_path):
+    """A repeated x gets the same seeds, so its rows are equal and the fit
+    has one distinct point: kappa_hat is NaN, with no warning."""
+    cfg = write_cfg(tmp_path, "c.json", {**BASE, "reps": 5, "sweep": {"x_grid": [50, 50]}})
+    out = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+    assert "# kappa_hat nan" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("command,section", [

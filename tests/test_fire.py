@@ -231,17 +231,17 @@ def test_run_fire_rejects_bad_targets():
         fire.run_fire(NoiseField(0, cfg), targets=[0])
 
 
-def _advance_peak(kind) -> int:
-    """Traced peak of one `_advance` of a `kind` state of 2 rows x 2^18
+def _advance_peak(kind, sites: int) -> int:
+    """Traced peak of one `_advance` of a `kind` state of 2 rows x `sites`
     sites, periodic rates (0.7, 1.3, 1.0), burnt at row times (3, 3.5):
-    about 496k occupied sites.  Tracing that is already on is kept, and
+    about 95 % of them occupied.  Tracing that is already on is kept, and
     only the growth past the state and its mask counts."""
     cfg = ModelConfig(r=1, profile=RateProfile.periodic((0.7, 1.3, 1.0), 0.7, 1.3))
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        state = kind([NoiseField(5, cfg), NoiseField(6, cfg)], (1 << 18) + 1)
-        state._grow((1 << 18) + 1)
+        state = kind([NoiseField(5, cfg), NoiseField(6, cfg)], sites + 1)
+        state._grow(sites + 1)
         t = np.array([3.0, 3.5])
         burnt = state.time[:, 1:] <= t[:, None]
         tracemalloc.reset_peak()
@@ -256,14 +256,17 @@ def _advance_peak(kind) -> int:
 
 
 def test_advance_of_burnt_sites_is_bounded():
-    """The coupled state moves its burnt sites in place, gathering at most
-    `model._BLOCK` of them at a time: 27.5 MiB traced, where gathering all
-    of them at once took 53.8 MiB.  The memoryless state, which gathers
-    all, stays at 28.4 MiB (36.0 MiB if it held its indices to the draw)."""
-    peak = _advance_peak(fire._Lattice)
-    assert peak < 40 * 2**20, f"coupled: traced peak {peak / 2**20:.1f} MiB"
-    peak = _advance_peak(fire._Memoryless)
-    assert peak < 28.5 * 2**20, f"memoryless: traced peak {peak / 2**20:.1f} MiB"
+    """Both states walk the burnt mask in column blocks of at most
+    `model._BLOCK` cells and hold no index array over the whole mask, so
+    their traced peaks do not grow with the sites: 22.2 MiB coupled and
+    9.9 MiB memoryless at 2^18 and at 2^19 sites a row.  Walking the whole
+    mask's flat indices peaked at 27.5 and 31.3 MiB coupled, and gathering
+    every burnt site at once at 28.4 and 56.8 MiB memoryless."""
+    for sites in (1 << 18, 1 << 19):
+        peak = _advance_peak(fire._Lattice, sites)
+        assert peak < 26 * 2**20, f"coupled, {sites}: traced peak {peak / 2**20:.1f} MiB"
+        peak = _advance_peak(fire._Memoryless, sites)
+        assert peak < 16 * 2**20, f"memoryless, {sites}: traced peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
